@@ -2,6 +2,7 @@
 
 use super::check_same_length;
 use crate::error::Result;
+use crate::verify::LANES;
 
 /// Full Chebyshev distance `d(a, b) = max_i |a_i - b_i|`.
 ///
@@ -10,10 +11,36 @@ use crate::error::Result;
 /// Returns an error if the sequences are empty or differ in length.
 pub fn chebyshev(a: &[f64], b: &[f64]) -> Result<f64> {
     check_same_length(a, b)?;
-    Ok(a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0_f64, f64::max))
+    Ok(max_abs_diff(a, b))
+}
+
+/// `max_i |a_i − b_i|` over the common prefix of two slices (0 when it is
+/// empty): the infallible kernel under [`chebyshev`], reduced in
+/// [`LANES`]-wide chunks whose lanes accumulate independently (a
+/// slice-chunk form the compiler auto-vectorises) instead of one
+/// latency-bound running maximum.  A `NaN` difference never raises the
+/// maximum.  Callers that hold equal-length slices by construction (fixed
+/// windows of one buffer) use it directly.
+#[inline]
+#[must_use]
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    let mut lanes = [0.0_f64; LANES];
+    let mut ac = a.chunks_exact(LANES);
+    let mut bc = b.chunks_exact(LANES);
+    for (xs, ys) in (&mut ac).zip(&mut bc) {
+        for k in 0..LANES {
+            let d = (xs[k] - ys[k]).abs();
+            lanes[k] = if d > lanes[k] { d } else { lanes[k] };
+        }
+    }
+    let mut max = lanes
+        .iter()
+        .fold(0.0_f64, |m, &d| if d > m { d } else { m });
+    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
+        let d = (x - y).abs();
+        max = if d > max { d } else { max };
+    }
+    max
 }
 
 /// Early-abandoning Chebyshev distance.

@@ -9,7 +9,7 @@ mod dtw;
 mod euclidean;
 mod lp;
 
-pub use chebyshev::{chebyshev, chebyshev_bounded, chebyshev_within};
+pub use chebyshev::{chebyshev, chebyshev_bounded, chebyshev_within, max_abs_diff};
 pub use dtw::{dtw, dtw_unconstrained};
 pub use euclidean::{euclidean, euclidean_squared, euclidean_within};
 pub use lp::{lp_distance, minkowski};

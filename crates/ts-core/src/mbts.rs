@@ -11,6 +11,13 @@
 //!
 //! Lemma 1 of the paper follows directly: if a node's MBTS is farther than `ε`
 //! from the query, no sequence inside the node can be a twin of the query.
+//!
+//! [`Mbts`] is the owned convenience type with plain scalar methods; the
+//! TS-Index keeps its envelopes in the flat layout of [`packed`] and runs the
+//! bounded slice kernels defined there, which the property tests hold equal
+//! to these methods bit for bit.
+
+pub mod packed;
 
 use crate::error::{Result, TsError};
 

@@ -24,6 +24,8 @@
 //! the query values, so the `TwinQuery` built by a search wrapper is the only
 //! materialisation of the query in the whole pipeline.
 
+use crate::distance::max_abs_diff;
+
 /// Number of positions the blockwise kernel examines between abandon checks.
 pub const BLOCK: usize = 16;
 
@@ -178,7 +180,7 @@ impl<'q> Verifier<'q> {
             let mut start = first;
             while start < n {
                 let end = (start + BLOCK).min(n);
-                if block_max_abs_diff(&self.query[start..end], &candidate[start..end]) > epsilon {
+                if max_abs_diff(&self.query[start..end], &candidate[start..end]) > epsilon {
                     return (false, end);
                 }
                 start = end;
@@ -201,7 +203,7 @@ impl<'q> Verifier<'q> {
             let mut start = 0;
             while start < n {
                 let end = (start + BLOCK).min(n);
-                if block_max_abs_diff(&self.query[start..end], &candidate[start..end]) > epsilon {
+                if max_abs_diff(&self.query[start..end], &candidate[start..end]) > epsilon {
                     return (false, (first + end).min(n));
                 }
                 start = end;
@@ -328,7 +330,7 @@ impl<'q> Verifier<'q> {
             let mut start = start0;
             while start < n {
                 let end = (start + BLOCK).min(n);
-                if block_max_abs_diff(&self.query[start..end], &window[start..end]) > epsilon {
+                if max_abs_diff(&self.query[start..end], &window[start..end]) > epsilon {
                     let depth = if self.ordered.is_empty() {
                         end
                     } else {
@@ -351,36 +353,8 @@ impl<'q> Verifier<'q> {
     #[must_use]
     pub fn chebyshev(&self, candidate: &[f64]) -> f64 {
         debug_assert_eq!(candidate.len(), self.query.len());
-        self.query
-            .iter()
-            .zip(candidate)
-            .map(|(q, c)| (q - c).abs())
-            .fold(0.0_f64, f64::max)
+        max_abs_diff(self.query, candidate)
     }
-}
-
-/// Max of `|q_i − c_i|` over one block, reduced in [`LANES`]-wide chunks.
-/// `NaN` differences never raise the maximum, matching the scalar kernel
-/// (a `NaN` difference does not exceed any `epsilon` there either).
-#[inline]
-fn block_max_abs_diff(q: &[f64], c: &[f64]) -> f64 {
-    let mut lanes = [0.0_f64; LANES];
-    let mut qc = q.chunks_exact(LANES);
-    let mut cc = c.chunks_exact(LANES);
-    for (qs, cs) in (&mut qc).zip(&mut cc) {
-        for k in 0..LANES {
-            let d = (qs[k] - cs[k]).abs();
-            lanes[k] = if d > lanes[k] { d } else { lanes[k] };
-        }
-    }
-    let mut max = lanes
-        .iter()
-        .fold(0.0_f64, |a, &b| if b > a { b } else { a });
-    for (qv, cv) in qc.remainder().iter().zip(cc.remainder()) {
-        let d = (qv - cv).abs();
-        max = if d > max { d } else { max };
-    }
-    max
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ts_core::distance::{chebyshev, chebyshev_within, euclidean, lp_distance};
-use ts_core::mbts::Mbts;
+use ts_core::mbts::{packed, Mbts};
 use ts_core::normalize::znormalize;
 use ts_core::paa::paa;
 use ts_core::sax::{Breakpoints, SaxWord};
@@ -197,6 +197,149 @@ proptest! {
         m.expand_with_sequence(&extra).unwrap();
         prop_assert!((m.area() - (before + predicted)).abs() < 1e-6);
         prop_assert!(m.contains(&extra));
+    }
+
+    // The packed kernels the TS-Index runs are the scalar `Mbts` methods, bit
+    // for bit, at every length 1..=130 (every remainder of the 8-lane block),
+    // for hostile query values, and with the abandon strictly beyond `bound`.
+    #[test]
+    fn packed_sequence_kernels_equal_scalar_mbts(
+        members in vec(vec(-50.0_f64..50.0, 130..=130), 1..5),
+        query in vec(-60.0_f64..60.0, 130..=130),
+        hostile in vec(0u32..24, 130..=130),
+    ) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // A few timestamps of the query become NaN / +inf / -inf.
+        let query: Vec<f64> = query
+            .iter()
+            .zip(&hostile)
+            .map(|(&v, &kind)| match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => v,
+            })
+            .collect();
+        for len in 1..=130usize {
+            let sliced: Vec<&[f64]> = members.iter().map(|m| &m[..len]).collect();
+            let mbts = Mbts::from_sequences(&sliced).unwrap();
+            let mut envelope = vec![0.0; packed::packed_len(len)];
+            mbts.pack_into(&mut envelope);
+            prop_assert_eq!(&Mbts::from_packed(&envelope).unwrap(), &mbts);
+
+            // Hostile queries on even lengths, the finite ones on odd.
+            let q: Vec<f64> = if len % 2 == 0 {
+                query[..len].to_vec()
+            } else {
+                query[..len].iter().map(|v| if v.is_finite() { *v } else { 0.25 }).collect()
+            };
+            let distance = mbts.distance_to_sequence(&q);
+            let expansion = mbts.expansion_for_sequence(&q);
+            prop_assert_eq!(
+                packed::sequence_expansion(&envelope, &q).to_bits(),
+                expansion.to_bits()
+            );
+
+            let mut bounds = vec![0.0, f64::INFINITY, distance, -1.0];
+            if distance > 0.0 && distance.is_finite() {
+                // The largest bound that must still abandon.
+                bounds.push(f64::from_bits(distance.to_bits() - 1));
+                bounds.push(distance / 2.0);
+                bounds.push(distance * 2.0);
+            }
+            for bound in bounds {
+                let fused = packed::bounded_distance_expansion(&q, &envelope, bound);
+                let plain = packed::bounded_distance(&q, &envelope, bound);
+                // Abandoned exactly when the true distance exceeds the bound.
+                prop_assert_eq!(fused.is_none(), distance > bound, "len {} bound {}", len, bound);
+                prop_assert_eq!(plain.is_none(), distance > bound);
+                prop_assert_eq!(
+                    mbts.exceeds_threshold(&q, bound),
+                    distance > bound,
+                    "the scalar early-abandon check agrees"
+                );
+                if let Some((d, e)) = fused {
+                    prop_assert_eq!(d.to_bits(), distance.to_bits(), "len {} bound {}", len, bound);
+                    prop_assert_eq!(e.to_bits(), expansion.to_bits(), "len {} bound {}", len, bound);
+                    prop_assert_eq!(plain.map(f64::to_bits), Some(distance.to_bits()));
+                }
+            }
+
+            // A NaN query timestamp counts as inside the envelope: it changes
+            // neither result (docs/verification.md).
+            let mut with_nan = q.clone();
+            with_nan[len / 2] = f64::NAN;
+            let mut without = q.clone();
+            without[len / 2] = mbts.upper()[len / 2];
+            prop_assert_eq!(
+                packed::bounded_distance_expansion(&with_nan, &envelope, f64::INFINITY)
+                    .map(|(d, e)| (d.to_bits(), e.to_bits())),
+                packed::bounded_distance_expansion(&without, &envelope, f64::INFINITY)
+                    .map(|(d, e)| (d.to_bits(), e.to_bits()))
+            );
+
+            // Expanding by a sequence; a sequence's own envelope.
+            let mut expanded = mbts.clone();
+            expanded.expand_with_sequence(&q).unwrap();
+            packed::expand_with_sequence(&mut envelope, &q);
+            let unpacked = Mbts::from_packed(&envelope).unwrap();
+            prop_assert_eq!(bits(unpacked.upper()), bits(expanded.upper()));
+            prop_assert_eq!(bits(unpacked.lower()), bits(expanded.lower()));
+            let finite = &members[0][..len];
+            packed::pack_sequence(finite, &mut envelope);
+            prop_assert_eq!(
+                &Mbts::from_packed(&envelope).unwrap(),
+                &Mbts::from_sequence(finite).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn packed_envelope_kernels_equal_scalar_mbts(
+        members_a in vec(vec(-50.0_f64..50.0, 130..=130), 1..4),
+        members_b in vec(vec(-50.0_f64..50.0, 130..=130), 1..4),
+        shift in -120.0_f64..120.0,
+    ) {
+        for len in 1..=130usize {
+            let a = Mbts::from_sequences(
+                &members_a.iter().map(|m| &m[..len]).collect::<Vec<_>>()
+            ).unwrap();
+            // Shifted so the pair ranges from nested to far apart.
+            let b = Mbts::from_sequences(
+                &members_b
+                    .iter()
+                    .map(|m| m[..len].iter().map(|v| v + shift).collect::<Vec<f64>>())
+                    .collect::<Vec<_>>()
+            ).unwrap();
+            let mut pa = vec![0.0; packed::packed_len(len)];
+            let mut pb = vec![0.0; packed::packed_len(len)];
+            a.pack_into(&mut pa);
+            b.pack_into(&mut pb);
+
+            prop_assert_eq!(
+                packed::envelope_distance(&pa, &pb).to_bits(),
+                a.distance_to_mbts(&b).to_bits()
+            );
+            prop_assert_eq!(
+                packed::envelope_distance(&pb, &pa).to_bits(),
+                b.distance_to_mbts(&a).to_bits()
+            );
+            prop_assert_eq!(
+                packed::envelope_expansion(&pa, &pb).to_bits(),
+                a.expansion_for_mbts(&b).to_bits()
+            );
+            prop_assert_eq!(packed::area(&pa).to_bits(), a.area().to_bits());
+            let enclosed = (0..len)
+                .all(|i| b.upper()[i] <= a.upper()[i] && b.lower()[i] >= a.lower()[i]);
+            prop_assert_eq!(packed::encloses(&pa, &pb), enclosed);
+
+            let mut union = a.clone();
+            union.expand_with_mbts(&b).unwrap();
+            packed::expand_with_envelope(&mut pa, &pb);
+            prop_assert_eq!(&Mbts::from_packed(&pa).unwrap(), &union);
+            prop_assert!(packed::encloses(&pa, &pb));
+            prop_assert_eq!(packed::envelope_expansion(&pa, &pb), 0.0);
+        }
     }
 
     #[test]

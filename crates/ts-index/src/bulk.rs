@@ -9,9 +9,9 @@
 //! top-down insertion; the ablation bench `ablation_bulk` quantifies both the
 //! build-time gain and the query-time effect of the different packing.
 
+use ts_core::mbts::packed;
 use ts_core::pipeline::Scratch;
 use ts_core::stats::rolling_mean;
-use ts_core::Mbts;
 use ts_storage::{Result, SeriesStore, StorageError};
 
 use crate::config::TsIndexConfig;
@@ -52,55 +52,36 @@ impl TsIndex {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        let mut index = Self {
-            config,
-            nodes: Vec::new(),
-            root: None,
-            entries: count,
-        };
+        let mut index = Self::empty(config);
+        index.entries = count;
 
         // Pack sorted positions into leaves.
         let mut buf = Scratch::take(len);
+        let mut envelope = Scratch::take(index.stride());
         let mut level: Vec<NodeId> = Vec::new();
         for chunk in partition_sizes(count, config.max_capacity, config.min_capacity) {
-            let members = &order[chunk.clone()];
-            let mut mbts: Option<Mbts> = None;
-            for &p in members {
+            let members = &order[chunk];
+            for (i, &p) in members.iter().enumerate() {
                 store.read_into(p as usize, &mut buf)?;
-                match &mut mbts {
-                    None => mbts = Some(Mbts::from_sequence(&buf).map_err(StorageError::Core)?),
-                    Some(m) => m.expand_with_sequence(&buf).map_err(StorageError::Core)?,
+                if i == 0 {
+                    packed::pack_sequence(&buf, &mut envelope);
+                } else {
+                    packed::expand_with_sequence(&mut envelope, &buf);
                 }
             }
-            let mbts = mbts.expect("chunk is never empty");
-            let id = index.nodes.len();
-            index.nodes.push(Node::leaf(mbts, None, members.to_vec()));
-            level.push(id);
+            level.push(index.push_node(Node::leaf(None, members.to_vec()), &envelope));
         }
 
         // Pack levels upward until a single node remains.
         while level.len() > 1 {
             let mut next_level = Vec::new();
             for chunk in partition_sizes(level.len(), config.max_capacity, config.min_capacity) {
-                let children: Vec<NodeId> = level[chunk].to_vec();
-                let mut mbts = index.nodes[children[0]].mbts.clone();
-                for &c in &children[1..] {
-                    let child_mbts = index.nodes[c].mbts.clone();
-                    mbts.expand_with_mbts(&child_mbts)
-                        .map_err(StorageError::Core)?;
-                }
-                let id = index.nodes.len();
-                index
-                    .nodes
-                    .push(Node::internal(mbts, None, children.clone()));
-                for c in children {
-                    index.nodes[c].parent = Some(id);
-                }
-                next_level.push(id);
+                next_level.push(index.push_parent_of(level[chunk].to_vec()));
             }
             level = next_level;
         }
         index.root = level.first().copied();
+        index.release_slack();
         Ok(index)
     }
 }

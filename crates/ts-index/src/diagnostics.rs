@@ -5,6 +5,8 @@
 //! per level, how balanced the tree is — and they back the node-capacity
 //! ablation discussed in `DESIGN.md`.
 
+use ts_core::mbts::packed;
+
 use crate::index::TsIndex;
 use crate::node::NodeKind;
 
@@ -75,11 +77,10 @@ impl TsIndex {
                     nodes_per_level.resize(level + 1, 0);
                 }
                 nodes_per_level[level] += 1;
-                let node = &self.nodes[id];
-                match &node.kind {
+                match &self.nodes[id].kind {
                     NodeKind::Leaf { positions } => {
                         leaf_fill.push(positions.len() as f64);
-                        leaf_area.push(node.mbts.area());
+                        leaf_area.push(packed::area(self.envelope(id)));
                         if positions.len() >= self.config.min_capacity {
                             leaves_at_min += 1;
                         }

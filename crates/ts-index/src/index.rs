@@ -1,9 +1,16 @@
 //! TS-Index construction: top-down insertion, node splitting, and structural
 //! accounting (§5.1–§5.2).
+//!
+//! Every envelope of the tree lives in one flat arena owned by the index
+//! (`envelopes`): node `id`'s MBTS is the slot `id · stride ..
+//! (id + 1) · stride`, `stride = 2 · l`, in the block-interleaved layout of
+//! [`ts_core::mbts::packed`].  A [`Node`] holds only its links.  Insertion,
+//! splitting and the query traversal all run that module's slice kernels on
+//! arena slots; no envelope is ever allocated on its own.
 
-use ts_core::distance::chebyshev;
+use ts_core::distance::max_abs_diff;
+use ts_core::mbts::packed;
 use ts_core::pipeline::Scratch;
-use ts_core::Mbts;
 use ts_storage::{Result, SeriesStore, StorageError};
 
 use crate::config::TsIndexConfig;
@@ -19,11 +26,25 @@ use crate::stats::TsIndexStats;
 pub struct TsIndex {
     pub(crate) config: TsIndexConfig,
     pub(crate) nodes: Vec<Node>,
+    /// The envelope arena: one packed MBTS of `stride()` values per node, in
+    /// node-id order (`envelopes.len() == nodes.len() * stride()`).
+    pub(crate) envelopes: Vec<f64>,
     pub(crate) root: Option<NodeId>,
     pub(crate) entries: usize,
 }
 
 impl TsIndex {
+    /// An index with no nodes yet.
+    pub(crate) fn empty(config: TsIndexConfig) -> Self {
+        Self {
+            config,
+            nodes: Vec::new(),
+            envelopes: Vec::new(),
+            root: None,
+            entries: 0,
+        }
+    }
+
     /// Builds the index over every `config.subsequence_len`-length
     /// subsequence of `store` by sequential top-down insertion (§5.2).
     ///
@@ -42,17 +63,13 @@ impl TsIndex {
                 ),
             )));
         }
-        let mut index = Self {
-            config,
-            nodes: Vec::new(),
-            root: None,
-            entries: 0,
-        };
+        let mut index = Self::empty(config);
         let mut buf = Scratch::take(len);
         for position in 0..count {
             store.read_into(position, &mut buf)?;
             index.insert(store, position as u32, &buf)?;
         }
+        index.release_slack();
         Ok(index)
     }
 
@@ -74,20 +91,85 @@ impl TsIndex {
         self.entries == 0
     }
 
+    /// Values per envelope slot of the arena.
+    pub(crate) fn stride(&self) -> usize {
+        packed::packed_len(self.config.subsequence_len)
+    }
+
+    /// The packed MBTS of node `id`.
+    pub(crate) fn envelope(&self, id: NodeId) -> &[f64] {
+        let stride = self.stride();
+        &self.envelopes[id * stride..(id + 1) * stride]
+    }
+
+    fn envelope_mut(&mut self, id: NodeId) -> &mut [f64] {
+        let stride = self.stride();
+        &mut self.envelopes[id * stride..(id + 1) * stride]
+    }
+
+    /// Appends `node` with a copy of the packed `envelope` as its slot.
+    pub(crate) fn push_node(&mut self, node: Node, envelope: &[f64]) -> NodeId {
+        debug_assert_eq!(envelope.len(), self.stride());
+        self.envelopes.extend_from_slice(envelope);
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Appends a parentless internal node over the existing nodes
+    /// `children` (at least one): its slot is the union of their envelopes,
+    /// and their parent links are pointed at it.
+    pub(crate) fn push_parent_of(&mut self, children: Vec<NodeId>) -> NodeId {
+        let stride = self.stride();
+        let id = self.nodes.len();
+        self.envelopes
+            .extend_from_within(children[0] * stride..(children[0] + 1) * stride);
+        let (arena, slot) = self.envelopes.split_at_mut(id * stride);
+        for &c in &children[1..] {
+            packed::expand_with_envelope(slot, &arena[c * stride..(c + 1) * stride]);
+        }
+        for &c in &children {
+            self.nodes[c].parent = Some(id);
+        }
+        self.nodes.push(Node::internal(None, children));
+        id
+    }
+
+    /// Returns the growth slack of the node list and the envelope arena to
+    /// the allocator, so a freshly built index holds exactly `nodes × stride`
+    /// envelope values.
+    pub(crate) fn release_slack(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.envelopes.shrink_to_fit();
+    }
+
     /// Inserts one subsequence (starting position plus its values).
     ///
-    /// Exposed at crate level so the bulk loader and tests can drive
-    /// insertion directly; end users go through [`TsIndex::build`].
+    /// Exposed at crate level so tests can drive insertion directly; end
+    /// users go through [`TsIndex::build`].
     pub(crate) fn insert<S: SeriesStore>(
         &mut self,
         store: &S,
         position: u32,
         values: &[f64],
     ) -> Result<()> {
+        self.insert_with(store, position, values, Self::choose_child)
+    }
+
+    /// [`TsIndex::insert`] with the descent rule as a parameter (the
+    /// structural-identity test swaps in the unbounded scalar reference).
+    fn insert_with<S: SeriesStore>(
+        &mut self,
+        store: &S,
+        position: u32,
+        values: &[f64],
+        choose_child: impl Fn(&Self, &[NodeId], &[f64]) -> NodeId,
+    ) -> Result<()> {
+        debug_assert_eq!(values.len(), self.config.subsequence_len);
         self.entries += 1;
         let Some(root) = self.root else {
-            let mbts = Mbts::from_sequence(values).map_err(StorageError::Core)?;
-            let id = self.push_node(Node::leaf(mbts, None, vec![position]));
+            let mut envelope = Scratch::take(self.stride());
+            packed::pack_sequence(values, &mut envelope);
+            let id = self.push_node(Node::leaf(None, vec![position]), &envelope);
             self.root = Some(id);
             return Ok(());
         };
@@ -96,14 +178,11 @@ impl TsIndex {
         // (the inserted sequence will be enclosed below it).
         let mut node_id = root;
         loop {
-            self.nodes[node_id]
-                .mbts
-                .expand_with_sequence(values)
-                .map_err(StorageError::Core)?;
+            packed::expand_with_sequence(self.envelope_mut(node_id), values);
             match &self.nodes[node_id].kind {
                 NodeKind::Leaf { .. } => break,
                 NodeKind::Internal { children } => {
-                    node_id = self.choose_child(children, values);
+                    node_id = choose_child(self, children, values);
                 }
             }
         }
@@ -119,33 +198,31 @@ impl TsIndex {
 
     /// Chooses the child whose MBTS has the smallest distance to `values`
     /// (Equation 2), breaking ties by smallest MBTS expansion and then by
-    /// fewest entries.
+    /// fewest entries; the first child with the minimal key wins.
+    ///
+    /// Each child is scored by one fused pass bounded by the best distance
+    /// so far.  The bound is strict: a child the kernel abandons is farther
+    /// than the current best and could not have replaced it, a child that
+    /// ties on distance is scored in full — so this picks exactly the child
+    /// an unbounded scoring of every child picks.
     fn choose_child(&self, children: &[NodeId], values: &[f64]) -> NodeId {
         debug_assert!(!children.is_empty());
+        // Any scored child beats this key, and nothing exceeds its bound.
         let mut best = children[0];
-        let mut best_key = self.child_key(children[0], values);
-        for &child in &children[1..] {
-            let key = self.child_key(child, values);
+        let mut best_key = (f64::INFINITY, f64::INFINITY, usize::MAX);
+        for &child in children {
+            let Some((distance, expansion)) =
+                packed::bounded_distance_expansion(values, self.envelope(child), best_key.0)
+            else {
+                continue;
+            };
+            let key = (distance, expansion, self.nodes[child].entry_count());
             if key < best_key {
                 best_key = key;
                 best = child;
             }
         }
         best
-    }
-
-    fn child_key(&self, child: NodeId, values: &[f64]) -> (f64, f64, usize) {
-        let node = &self.nodes[child];
-        (
-            node.mbts.distance_to_sequence(values),
-            node.mbts.expansion_for_sequence(values),
-            node.entry_count(),
-        )
-    }
-
-    fn push_node(&mut self, node: Node) -> NodeId {
-        self.nodes.push(node);
-        self.nodes.len() - 1
     }
 
     /// Splits an over-full leaf into two siblings (§5.2), propagating splits
@@ -156,59 +233,36 @@ impl TsIndex {
             NodeKind::Leaf { positions } => positions.clone(),
             NodeKind::Internal { .. } => return Ok(()),
         };
-        // Fetch the member subsequences once.
-        let mut members = Vec::with_capacity(positions.len());
-        for &p in &positions {
-            members.push(store.read(p as usize, len)?);
+        // Fetch the member subsequences once, into one pooled buffer.
+        let mut members = Scratch::take(positions.len() * len);
+        for (&p, member) in positions.iter().zip(members.chunks_exact_mut(len)) {
+            store.read_into(p as usize, member)?;
         }
+        let member = |i: usize| &members[i * len..(i + 1) * len];
 
         // Seeds: the two subsequences with the largest Chebyshev distance.
-        let (seed_a, seed_b) = farthest_pair(&members, |a, b| {
-            chebyshev(a, b).expect("members have equal length")
-        });
-
-        let mut group_a: Vec<usize> = vec![seed_a];
-        let mut group_b: Vec<usize> = vec![seed_b];
-        let mut mbts_a = Mbts::from_sequence(&members[seed_a]).map_err(StorageError::Core)?;
-        let mut mbts_b = Mbts::from_sequence(&members[seed_b]).map_err(StorageError::Core)?;
-
-        let min = self.config.min_capacity;
-        let mut remaining: Vec<usize> = (0..members.len())
-            .filter(|&i| i != seed_a && i != seed_b)
-            .collect();
-        while let Some(i) = remaining.pop() {
-            let left = remaining.len();
-            // Force-assign when one group needs every remaining entry to
-            // reach the minimum capacity.
-            if group_a.len() + left < min {
-                assign(&mut group_a, &mut mbts_a, i, &members[i]);
-                continue;
-            }
-            if group_b.len() + left < min {
-                assign(&mut group_b, &mut mbts_b, i, &members[i]);
-                continue;
-            }
-            let exp_a = mbts_a.expansion_for_sequence(&members[i]);
-            let exp_b = mbts_b.expansion_for_sequence(&members[i]);
-            let to_a = match exp_a.partial_cmp(&exp_b) {
-                Some(std::cmp::Ordering::Less) => true,
-                Some(std::cmp::Ordering::Greater) => false,
-                _ => group_a.len() <= group_b.len(),
-            };
-            if to_a {
-                assign(&mut group_a, &mut mbts_a, i, &members[i]);
-            } else {
-                assign(&mut group_b, &mut mbts_b, i, &members[i]);
-            }
-        }
+        let seeds = farthest_pair(positions.len(), |i, j| max_abs_diff(member(i), member(j)));
+        let mut envelopes = Scratch::take(2 * self.stride());
+        let (envelope_a, envelope_b) = envelopes.split_at_mut(self.stride());
+        packed::pack_sequence(member(seeds.0), envelope_a);
+        packed::pack_sequence(member(seeds.1), envelope_b);
+        let (group_a, group_b) = distribute(
+            positions.len(),
+            seeds,
+            self.config.min_capacity,
+            (envelope_a, envelope_b),
+            |envelope, i| packed::sequence_expansion(envelope, member(i)),
+            |envelope, i| packed::expand_with_sequence(envelope, member(i)),
+        );
 
         let positions_a: Vec<u32> = group_a.iter().map(|&i| positions[i]).collect();
         let positions_b: Vec<u32> = group_b.iter().map(|&i| positions[i]).collect();
         let parent = self.nodes[node_id].parent;
 
         // Reuse `node_id` for group A; allocate a new node for group B.
-        self.nodes[node_id] = Node::leaf(mbts_a, parent, positions_a);
-        let new_id = self.push_node(Node::leaf(mbts_b, parent, positions_b));
+        self.nodes[node_id] = Node::leaf(parent, positions_a);
+        self.envelope_mut(node_id).copy_from_slice(envelope_a);
+        let new_id = self.push_node(Node::leaf(parent, positions_b), envelope_b);
 
         self.attach_split_sibling(store, node_id, new_id)
     }
@@ -220,52 +274,31 @@ impl TsIndex {
             NodeKind::Internal { children } => children.clone(),
             NodeKind::Leaf { .. } => return Ok(()),
         };
-        let member_mbts: Vec<Mbts> = children
-            .iter()
-            .map(|&c| self.nodes[c].mbts.clone())
-            .collect();
+        let member = |i: usize| self.envelope(children[i]);
 
-        let (seed_a, seed_b) = farthest_pair(&member_mbts, |a, b| a.distance_to_mbts(b));
-
-        let mut group_a: Vec<usize> = vec![seed_a];
-        let mut group_b: Vec<usize> = vec![seed_b];
-        let mut mbts_a = member_mbts[seed_a].clone();
-        let mut mbts_b = member_mbts[seed_b].clone();
-
-        let min = self.config.min_capacity;
-        let mut remaining: Vec<usize> = (0..member_mbts.len())
-            .filter(|&i| i != seed_a && i != seed_b)
-            .collect();
-        while let Some(i) = remaining.pop() {
-            let left = remaining.len();
-            if group_a.len() + left < min {
-                assign_mbts(&mut group_a, &mut mbts_a, i, &member_mbts[i]);
-                continue;
-            }
-            if group_b.len() + left < min {
-                assign_mbts(&mut group_b, &mut mbts_b, i, &member_mbts[i]);
-                continue;
-            }
-            let exp_a = mbts_a.expansion_for_mbts(&member_mbts[i]);
-            let exp_b = mbts_b.expansion_for_mbts(&member_mbts[i]);
-            let to_a = match exp_a.partial_cmp(&exp_b) {
-                Some(std::cmp::Ordering::Less) => true,
-                Some(std::cmp::Ordering::Greater) => false,
-                _ => group_a.len() <= group_b.len(),
-            };
-            if to_a {
-                assign_mbts(&mut group_a, &mut mbts_a, i, &member_mbts[i]);
-            } else {
-                assign_mbts(&mut group_b, &mut mbts_b, i, &member_mbts[i]);
-            }
-        }
+        let seeds = farthest_pair(children.len(), |i, j| {
+            packed::envelope_distance(member(i), member(j))
+        });
+        let mut envelopes = Scratch::take(2 * self.stride());
+        let (envelope_a, envelope_b) = envelopes.split_at_mut(self.stride());
+        envelope_a.copy_from_slice(member(seeds.0));
+        envelope_b.copy_from_slice(member(seeds.1));
+        let (group_a, group_b) = distribute(
+            children.len(),
+            seeds,
+            self.config.min_capacity,
+            (envelope_a, envelope_b),
+            |envelope, i| packed::envelope_expansion(envelope, member(i)),
+            |envelope, i| packed::expand_with_envelope(envelope, member(i)),
+        );
 
         let children_a: Vec<NodeId> = group_a.iter().map(|&i| children[i]).collect();
         let children_b: Vec<NodeId> = group_b.iter().map(|&i| children[i]).collect();
         let parent = self.nodes[node_id].parent;
 
-        self.nodes[node_id] = Node::internal(mbts_a, parent, children_a.clone());
-        let new_id = self.push_node(Node::internal(mbts_b, parent, children_b.clone()));
+        self.nodes[node_id] = Node::internal(parent, children_a.clone());
+        self.envelope_mut(node_id).copy_from_slice(envelope_a);
+        let new_id = self.push_node(Node::internal(parent, children_b.clone()), envelope_b);
 
         // Re-point moved children at their new parents.
         for &c in &children_a {
@@ -291,15 +324,7 @@ impl TsIndex {
             None => {
                 // The root was split: grow the tree by one level (§5.2,
                 // Figure 3b).
-                let mut root_mbts = self.nodes[node_id].mbts.clone();
-                root_mbts
-                    .expand_with_mbts(&self.nodes[new_id].mbts)
-                    .map_err(StorageError::Core)?;
-                let new_root =
-                    self.push_node(Node::internal(root_mbts, None, vec![node_id, new_id]));
-                self.nodes[node_id].parent = Some(new_root);
-                self.nodes[new_id].parent = Some(new_root);
-                self.root = Some(new_root);
+                self.root = Some(self.push_parent_of(vec![node_id, new_id]));
                 Ok(())
             }
             Some(parent) => {
@@ -316,13 +341,22 @@ impl TsIndex {
     }
 
     /// Structural statistics: node counts, height and memory footprint.
+    ///
+    /// `memory_bytes` counts what the index holds allocated, by capacity:
+    /// `size_of::<TsIndex>() + nodes.capacity() · size_of::<Node>() +
+    /// envelopes.capacity() · 8 + Σ children.capacity() · 8 +
+    /// Σ positions.capacity() · 4`.  After [`TsIndex::build`] /
+    /// [`TsIndex::build_bulk`] the first two capacities are exact
+    /// (`envelopes.capacity() == nodes · stride`); an index grown by
+    /// appends carries — and reports — its amortised growth slack.
     #[must_use]
     pub fn stats(&self) -> TsIndexStats {
         let mut leaves = 0usize;
         let mut internal = 0usize;
-        let mut memory = std::mem::size_of::<Self>();
+        let mut memory = std::mem::size_of::<Self>()
+            + self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.envelopes.capacity() * std::mem::size_of::<f64>();
         for node in &self.nodes {
-            memory += std::mem::size_of::<Node>() + node.mbts.memory_bytes();
             match &node.kind {
                 NodeKind::Internal { children } => {
                     internal += 1;
@@ -368,13 +402,22 @@ impl TsIndex {
     /// debug assertions.  Returns a description of the first violation found.
     ///
     /// Invariants checked:
-    /// 1. every node except the root respects the capacity bounds,
-    /// 2. every child's MBTS is enclosed by its parent's MBTS,
-    /// 3. every leaf sits at the same depth,
-    /// 4. every indexed position appears exactly once,
-    /// 5. parent links agree with child lists.
+    /// 1. the envelope arena holds exactly one slot per node,
+    /// 2. every node except the root respects the capacity bounds,
+    /// 3. every child's MBTS slot is enclosed by its parent's slot,
+    /// 4. every leaf sits at the same depth,
+    /// 5. every indexed position appears exactly once,
+    /// 6. parent links agree with child lists.
     #[must_use]
     pub fn check_invariants(&self) -> Option<String> {
+        if self.envelopes.len() != self.nodes.len() * self.stride() {
+            return Some(format!(
+                "envelope arena holds {} values for {} nodes of stride {}",
+                self.envelopes.len(),
+                self.nodes.len(),
+                self.stride()
+            ));
+        }
         let Some(root) = self.root else {
             return if self.entries == 0 {
                 None
@@ -404,24 +447,10 @@ impl TsIndex {
                         return Some(format!("internal node {id} has no children"));
                     }
                     for &c in children {
-                        let child = &self.nodes[c];
-                        if child.parent != Some(id) {
+                        if self.nodes[c].parent != Some(id) {
                             return Some(format!("child {c} has wrong parent link"));
                         }
-                        // Parent MBTS must enclose the child's MBTS.
-                        if child
-                            .mbts
-                            .upper()
-                            .iter()
-                            .zip(node.mbts.upper())
-                            .any(|(cu, pu)| cu > pu)
-                            || child
-                                .mbts
-                                .lower()
-                                .iter()
-                                .zip(node.mbts.lower())
-                                .any(|(cl, pl)| cl < pl)
-                        {
+                        if !packed::encloses(self.envelope(id), self.envelope(c)) {
                             return Some(format!("child {c} MBTS escapes parent {id}"));
                         }
                         stack.push((c, depth + 1));
@@ -468,29 +497,55 @@ impl<S: SeriesStore> ts_core::MaintainableSearcher<S> for TsIndex {
     }
 }
 
-/// Assigns member `i` (a raw sequence) to a split group, expanding its MBTS.
-fn assign(group: &mut Vec<usize>, mbts: &mut Mbts, i: usize, values: &[f64]) {
-    group.push(i);
-    mbts.expand_with_sequence(values)
-        .expect("split members have equal length");
+/// Distributes the `count` members of an over-full node between the groups
+/// of its two `seeds` (§5.2): each remaining member, last first, joins the
+/// group whose envelope it expands least (ties: the smaller group, then the
+/// first), unless one group needs every remaining member to reach `min`.
+/// `envelopes` hold the seeds' envelopes on entry and the groups' on return.
+fn distribute(
+    count: usize,
+    (seed_a, seed_b): (usize, usize),
+    min: usize,
+    (envelope_a, envelope_b): (&mut [f64], &mut [f64]),
+    expansion: impl Fn(&[f64], usize) -> f64,
+    expand: impl Fn(&mut [f64], usize),
+) -> (Vec<usize>, Vec<usize>) {
+    let mut group_a = vec![seed_a];
+    let mut group_b = vec![seed_b];
+    let mut left = count - 2;
+    for i in (0..count).rev().filter(|&i| i != seed_a && i != seed_b) {
+        left -= 1;
+        let to_a = if group_a.len() + left < min {
+            true
+        } else if group_b.len() + left < min {
+            false
+        } else {
+            match expansion(envelope_a, i).partial_cmp(&expansion(envelope_b, i)) {
+                Some(std::cmp::Ordering::Less) => true,
+                Some(std::cmp::Ordering::Greater) => false,
+                _ => group_a.len() <= group_b.len(),
+            }
+        };
+        if to_a {
+            group_a.push(i);
+            expand(envelope_a, i);
+        } else {
+            group_b.push(i);
+            expand(envelope_b, i);
+        }
+    }
+    (group_a, group_b)
 }
 
-/// Assigns member `i` (a child MBTS) to a split group, expanding its MBTS.
-fn assign_mbts(group: &mut Vec<usize>, mbts: &mut Mbts, i: usize, member: &Mbts) {
-    group.push(i);
-    mbts.expand_with_mbts(member)
-        .expect("split members have equal length");
-}
-
-/// Returns the pair of indices whose members are farthest apart under `dist`.
-/// `members` must contain at least two elements.
-fn farthest_pair<T>(members: &[T], dist: impl Fn(&T, &T) -> f64) -> (usize, usize) {
-    debug_assert!(members.len() >= 2);
+/// Returns the pair of member indices farthest apart under `dist`
+/// (`count >= 2`; the first such pair in `(i, j > i)` order).
+fn farthest_pair(count: usize, dist: impl Fn(usize, usize) -> f64) -> (usize, usize) {
+    debug_assert!(count >= 2);
     let mut best = (0, 1);
     let mut best_d = f64::NEG_INFINITY;
-    for i in 0..members.len() {
-        for j in (i + 1)..members.len() {
-            let d = dist(&members[i], &members[j]);
+    for i in 0..count {
+        for j in (i + 1)..count {
+            let d = dist(i, j);
             if d > best_d {
                 best_d = d;
                 best = (i, j);
@@ -503,6 +558,7 @@ fn farthest_pair<T>(members: &[T], dist: impl Fn(&T, &T) -> f64) -> (usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_core::Mbts;
     use ts_data::generators::{insect_like, GeneratorConfig};
     use ts_storage::InMemorySeries;
 
@@ -569,9 +625,9 @@ mod tests {
 
     #[test]
     fn farthest_pair_is_correct() {
-        let members = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![10.0, 0.0]];
-        let (a, b) = farthest_pair(&members, |x, y| chebyshev(x, y).unwrap());
-        assert_eq!((a, b), (0, 2));
+        let members = [[0.0, 0.0], [1.0, 1.0], [10.0, 0.0]];
+        let pair = farthest_pair(3, |i, j| max_abs_diff(&members[i], &members[j]));
+        assert_eq!(pair, (0, 2));
     }
 
     #[test]
@@ -653,6 +709,189 @@ mod tests {
             idx.search(&store, &query, 0.5).unwrap(),
             bulk.search(&store, &query, 0.5).unwrap()
         );
+    }
+
+    #[test]
+    fn memory_accounting_is_exact_after_a_build() {
+        let s = store(2_000);
+        for index in [
+            TsIndex::build(&s, config(50)).unwrap(),
+            TsIndex::build_bulk(&s, config(50)).unwrap(),
+        ] {
+            let stats = index.stats();
+            assert_eq!(index.stride(), 100);
+            // No growth slack: one slot per node, nothing more.
+            assert_eq!(index.envelopes.len(), stats.nodes * index.stride());
+            assert_eq!(index.envelopes.capacity(), stats.nodes * index.stride());
+            assert_eq!(index.nodes.capacity(), stats.nodes);
+            // The documented formula, computed independently.
+            let payload: usize = index
+                .nodes
+                .iter()
+                .map(|node| match &node.kind {
+                    NodeKind::Internal { children } => children.capacity() * 8,
+                    NodeKind::Leaf { positions } => positions.capacity() * 4,
+                })
+                .sum();
+            assert_eq!(
+                stats.memory_bytes,
+                std::mem::size_of::<TsIndex>()
+                    + stats.nodes * std::mem::size_of::<Node>()
+                    + stats.nodes * index.stride() * 8
+                    + payload
+            );
+            assert_eq!(index.memory_bytes(), stats.memory_bytes);
+        }
+        // A node is links only: the two envelope vectors are gone.
+        assert_eq!(std::mem::size_of::<Node>(), 48);
+    }
+
+    /// The descent this crate used before the bounded kernel: every child
+    /// scored in full by the two scalar `Mbts` passes.
+    fn reference_choose_child(index: &TsIndex, children: &[NodeId], values: &[f64]) -> NodeId {
+        let key = |child: NodeId| {
+            let mbts = Mbts::from_packed(index.envelope(child)).unwrap();
+            (
+                mbts.distance_to_sequence(values),
+                mbts.expansion_for_sequence(values),
+                index.nodes[child].entry_count(),
+            )
+        };
+        let mut best = children[0];
+        let mut best_key = key(best);
+        for &child in &children[1..] {
+            let child_key = key(child);
+            if child_key < best_key {
+                best_key = child_key;
+                best = child;
+            }
+        }
+        best
+    }
+
+    fn assert_identical(tree: &TsIndex, reference: &TsIndex, what: &str) {
+        assert_eq!(tree.root, reference.root, "{what}: root");
+        assert_eq!(tree.entries, reference.entries, "{what}: entries");
+        assert_eq!(
+            tree.nodes.len(),
+            reference.nodes.len(),
+            "{what}: node count"
+        );
+        let bits = |envelope: &[f64]| envelope.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, (node, expected)) in tree.nodes.iter().zip(&reference.nodes).enumerate() {
+            assert_eq!(node, expected, "{what}: links of node {id}");
+            assert_eq!(
+                bits(tree.envelope(id)),
+                bits(reference.envelope(id)),
+                "{what}: envelope of node {id}"
+            );
+        }
+        assert_eq!(tree.check_invariants(), None, "{what}");
+    }
+
+    /// Builds the tree over `values` three ways — `build`, grown through
+    /// `on_append` in uneven chunks, and by the reference descent — and
+    /// asserts the three are the same tree, node for node and bit for bit.
+    fn assert_bounded_descent_builds_the_reference_tree<S: SeriesStore>(
+        values: &[f64],
+        wrap: impl Fn(InMemorySeries) -> S,
+        config: TsIndexConfig,
+        what: &str,
+    ) {
+        use ts_core::MaintainableSearcher;
+
+        let len = config.subsequence_len;
+        let prefix = |n: usize| wrap(InMemorySeries::new(values[..n].to_vec()).unwrap());
+        let full = prefix(values.len());
+
+        let mut reference = TsIndex::empty(config);
+        let mut buf = vec![0.0; len];
+        for position in 0..full.subsequence_count(len) {
+            full.read_into(position, &mut buf).unwrap();
+            reference
+                .insert_with(&full, position as u32, &buf, reference_choose_child)
+                .unwrap();
+        }
+        assert!(reference.height() >= 3, "{what}: internal nodes must split");
+
+        let built = TsIndex::build(&full, config).unwrap();
+        assert_identical(&built, &reference, &format!("{what}, built"));
+
+        let mut cut = len + 7;
+        let mut grown = TsIndex::build(&prefix(cut), config).unwrap();
+        for step in [1usize, 333, 64, 5, 1_000, 2, 97].iter().cycle() {
+            if cut == values.len() {
+                break;
+            }
+            cut = (cut + step).min(values.len());
+            grown.on_append(&prefix(cut)).unwrap();
+        }
+        assert_identical(&grown, &reference, &format!("{what}, grown"));
+    }
+
+    #[test]
+    fn bounded_descent_builds_the_same_tree_as_the_scalar_reference() {
+        use ts_data::generators::eeg_like;
+        use ts_storage::PerSubsequenceNormalized;
+
+        let small = TsIndexConfig::new(50)
+            .unwrap()
+            .with_capacities(3, 8)
+            .unwrap();
+        let paper = TsIndexConfig::new(100).unwrap();
+        for (data, raw) in [
+            ("eeg_like", eeg_like(GeneratorConfig::new(2_000, 5))),
+            ("insect_like", insect_like(GeneratorConfig::new(2_000, 6))),
+        ] {
+            let znorm = InMemorySeries::new_znormalized(&raw)
+                .unwrap()
+                .read(0, raw.len())
+                .unwrap();
+            for (capacities, config) in [("(3, 8)", small), ("(10, 30)", paper)] {
+                let what = |regime: &str| format!("{data}, {regime}, capacities {capacities}");
+                assert_bounded_descent_builds_the_reference_tree(
+                    &znorm,
+                    |s| s,
+                    config,
+                    &what("whole-series z-norm"),
+                );
+                assert_bounded_descent_builds_the_reference_tree(&raw, |s| s, config, &what("raw"));
+                assert_bounded_descent_builds_the_reference_tree(
+                    &raw,
+                    PerSubsequenceNormalized::new,
+                    config,
+                    &what("per-subsequence z-norm"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_envelopes_are_the_scalar_union_of_their_members() {
+        let s = store(1_500);
+        let len = 50;
+        let index = TsIndex::build_bulk(&s, config(len)).unwrap();
+        for (id, node) in index.nodes.iter().enumerate() {
+            let expected = match &node.kind {
+                NodeKind::Leaf { positions } => {
+                    let members: Vec<Vec<f64>> = positions
+                        .iter()
+                        .map(|&p| s.read(p as usize, len).unwrap())
+                        .collect();
+                    Mbts::from_sequences(&members).unwrap()
+                }
+                NodeKind::Internal { children } => {
+                    let mut union = Mbts::from_packed(index.envelope(children[0])).unwrap();
+                    for &c in &children[1..] {
+                        union
+                            .expand_with_mbts(&Mbts::from_packed(index.envelope(c)).unwrap())
+                            .unwrap();
+                    }
+                    union
+                }
+            };
+            assert_eq!(Mbts::from_packed(index.envelope(id)).unwrap(), expected);
+        }
     }
 
     #[test]

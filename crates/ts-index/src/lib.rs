@@ -21,6 +21,24 @@
 //!   verifies the positions of the surviving leaves with reordering early
 //!   abandoning.
 //!
+//! **Layout.**  The tree is two parallel arrays indexed by node id: the
+//! nodes (parent link plus children or positions — no envelope inside) and
+//! one flat `f64` arena holding every MBTS, node `id` in the slot
+//! `id · 2l .. (id + 1) · 2l`.  A slot is *packed*
+//! ([`ts_core::mbts::packed`]): blocks of eight timestamps, each block's
+//! upper bounds followed by its lower bounds, so a bound check streams one
+//! slot front to back and an early abandon reads only its first cache lines.
+//! Insertion and pruning are the same kernel from that module — distance
+//! (and expansion) of a sequence against a slot, abandoning once a gap
+//! exceeds `bound` — called with `bound = ε` by the query and with the best
+//! child distance so far by the descent.  The bound is strict and the child
+//! is the first minimum of (distance, expansion, entry count), so an
+//! abandoned child could never have been chosen and the tree is the one the
+//! unbounded scoring builds, bit for bit (asserted against a scalar
+//! reference descent in the crate's tests).  A freshly built index holds
+//! exactly `nodes × 2l` envelope values; [`TsIndex::stats`] documents the
+//! memory formula.
+//!
 //! Beyond the paper, the crate provides a bottom-up **bulk loader**, a
 //! **top-k** twin query, and a **work-stealing multi-threaded** query path
 //! on the shared [`ts_core::exec::Executor`]: subtrees are split into tasks

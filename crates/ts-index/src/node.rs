@@ -1,12 +1,13 @@
 //! Arena-allocated tree nodes.
+//!
+//! A node is only its links: the MBTS of node `id` lives in slot `id` of the
+//! index's flat envelope arena (see [`crate::TsIndex`]), not in the node.
 
-use ts_core::Mbts;
-
-/// Index of a node inside the arena.
+/// Index of a node inside the arena (and of its envelope slot).
 pub(crate) type NodeId = usize;
 
 /// What a node stores below it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum NodeKind {
     /// An internal node pointing to child nodes.
     Internal {
@@ -20,12 +21,10 @@ pub(crate) enum NodeKind {
     },
 }
 
-/// One node of the TS-Index: its MBTS summary, its parent link and its
-/// payload (children or positions).
-#[derive(Debug, Clone)]
+/// One node of the TS-Index: its parent link and its payload (children or
+/// positions).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Node {
-    /// The Minimum Bounding Time Series enclosing everything below this node.
-    pub mbts: Mbts,
     /// Parent node, `None` for the root.
     pub parent: Option<NodeId>,
     /// Children or positions.
@@ -34,18 +33,16 @@ pub(crate) struct Node {
 
 impl Node {
     /// Creates a leaf node.
-    pub fn leaf(mbts: Mbts, parent: Option<NodeId>, positions: Vec<u32>) -> Self {
+    pub fn leaf(parent: Option<NodeId>, positions: Vec<u32>) -> Self {
         Self {
-            mbts,
             parent,
             kind: NodeKind::Leaf { positions },
         }
     }
 
     /// Creates an internal node.
-    pub fn internal(mbts: Mbts, parent: Option<NodeId>, children: Vec<NodeId>) -> Self {
+    pub fn internal(parent: Option<NodeId>, children: Vec<NodeId>) -> Self {
         Self {
-            mbts,
             parent,
             kind: NodeKind::Internal { children },
         }
@@ -72,13 +69,12 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        let mbts = Mbts::from_sequence(&[1.0, 2.0]).unwrap();
-        let leaf = Node::leaf(mbts.clone(), None, vec![1, 2, 3]);
+        let leaf = Node::leaf(None, vec![1, 2, 3]);
         assert!(leaf.is_leaf());
         assert_eq!(leaf.entry_count(), 3);
         assert!(leaf.parent.is_none());
 
-        let internal = Node::internal(mbts, Some(0), vec![5, 6]);
+        let internal = Node::internal(Some(0), vec![5, 6]);
         assert!(!internal.is_leaf());
         assert_eq!(internal.entry_count(), 2);
         assert_eq!(internal.parent, Some(0));

@@ -18,6 +18,7 @@ use crate::index::TsIndex;
 use crate::node::{NodeId, NodeKind};
 use crate::stats::TsQueryStats;
 use ts_core::exec::{Executor, TaskContext};
+use ts_core::mbts::packed;
 use ts_core::pipeline::{
     finish_outcome, split_filter_time, CandidateSet, Pipeline, Scratch, VerifyOptions,
 };
@@ -218,6 +219,14 @@ impl TsIndex {
         Ok((results, stats))
     }
 
+    /// Lemma 1 with early abandoning: `true` as soon as one block of
+    /// timestamps escapes the node's envelope by more than `epsilon`, so no
+    /// subsequence below the node can be a twin of `query`.
+    #[inline]
+    fn prunes(&self, node_id: NodeId, query: &[f64], epsilon: f64) -> bool {
+        packed::bounded_distance(query, self.envelope(node_id), epsilon).is_none()
+    }
+
     /// The traversal core shared by the sequential path and the inline
     /// (non-splitting) branch of the parallel tasks: drains `acc.stack`,
     /// pruning with the MBTS lower bound and collecting surviving leaf
@@ -228,14 +237,11 @@ impl TsIndex {
     fn traverse_into(&self, query: &[f64], epsilon: f64, acc: &mut TraverseAcc<'_>) {
         while let Some(node_id) = acc.stack.pop() {
             acc.stats.nodes_visited += 1;
-            let node = &self.nodes[node_id];
-            // Lemma 1 with early abandoning: prune as soon as one timestamp
-            // escapes the envelope by more than epsilon.
-            if node.mbts.exceeds_threshold(query, epsilon) {
+            if self.prunes(node_id, query, epsilon) {
                 acc.stats.nodes_pruned += 1;
                 continue;
             }
-            match &node.kind {
+            match &self.nodes[node_id].kind {
                 NodeKind::Internal { children } => acc.stack.extend(children.iter().copied()),
                 NodeKind::Leaf { positions } => {
                     acc.stats.candidates_generated += positions.len();
@@ -326,11 +332,10 @@ impl TsIndex {
             let started = collect.then(Instant::now);
             let verify_before = acc.stats.verify_time;
             acc.stats.nodes_visited += 1;
-            let node = &self.nodes[node_id];
-            if node.mbts.exceeds_threshold(query, epsilon) {
+            if self.prunes(node_id, query, epsilon) {
                 acc.stats.nodes_pruned += 1;
             } else {
-                match &node.kind {
+                match &self.nodes[node_id].kind {
                     NodeKind::Leaf { positions } => {
                         acc.stats.candidates_generated += positions.len();
                         acc.pending.extend_from_slice(positions);
@@ -474,8 +479,7 @@ impl TsIndex {
         let mut bound = f64::INFINITY;
         // Depth-first traversal ordered by MBTS distance (closest child
         // first) so the bound tightens quickly.
-        let mut stack: Vec<(f64, NodeId)> =
-            vec![(self.nodes[root].mbts.distance_to_sequence(query), root)];
+        let mut stack: Vec<(f64, NodeId)> = vec![(0.0, root)];
         while let Some((lower_bound, node_id)) = stack.pop() {
             if lower_bound > bound {
                 continue;
@@ -484,8 +488,9 @@ impl TsIndex {
                 NodeKind::Internal { children } => {
                     let mut ordered: Vec<(f64, NodeId)> = children
                         .iter()
-                        .map(|&c| (self.nodes[c].mbts.distance_to_sequence(query), c))
-                        .filter(|&(d, _)| d <= bound)
+                        .filter_map(|&c| {
+                            packed::bounded_distance(query, self.envelope(c), bound).map(|d| (d, c))
+                        })
                         .collect();
                     // Push the farthest first so the closest is popped next.
                     ordered
