@@ -3,10 +3,6 @@
 //!
 //! * **reordering early abandoning** — verification cost with and without the
 //!   UCR-style reordering (§3.2);
-//! * **verify kernels** — the pipeline's scalar vs blockwise Chebyshev
-//!   kernels on reject-heavy and accept-heavy candidate mixes (the
-//!   `verify_kernels` section of `BENCH_fig4.json` records the same
-//!   ablation per method end to end);
 //! * **bulk loading** — TS-Index build time, incremental insertion vs
 //!   bottom-up packing;
 //! * **parallel query** — sequential Algorithm 1 vs the multi-threaded
@@ -24,17 +20,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ts_bench::{generate, HarnessOptions};
-use ts_core::pipeline::{CandidateSet, Pipeline, VerifyKernel, VerifyOptions};
 use twin_search::{
     Dataset, Engine, EngineConfig, InMemorySeries, Method, Normalization, QueryWorkload,
-    SeriesStore, ShardedEngine, Sweepline, TsIndex, TsIndexConfig, TwinQuery,
+    ShardedEngine, Sweepline, TsIndex, TsIndexConfig, TwinQuery,
 };
 
 fn options() -> HarnessOptions {
     HarnessOptions {
         scale: 32,
         queries: 5,
-        kernel: None,
     }
 }
 
@@ -66,56 +60,6 @@ fn bench_reordering(c: &mut Criterion) {
                 black_box(total)
             });
         });
-    }
-    group.finish();
-}
-
-fn bench_verify_kernels(c: &mut Criterion) {
-    // The pipeline's two result-identical Chebyshev kernels, isolated from
-    // any filter: a dense candidate set (every window start) run through
-    // `Pipeline::verify_into` on the in-memory store.  Two candidate mixes:
-    // * reject-heavy — the paper's default ε, almost every window abandons
-    //   within the first block (the common case behind every index filter);
-    // * accept-heavy — ε wide enough that most windows scan to full depth,
-    //   the worst case for early abandoning and the best for 8-lane chunks.
-    let store = prepared_store();
-    let len = 100;
-    let max_start = store.len() - len;
-    let mut query = vec![0.0; len];
-    store.read_into(max_start / 2, &mut query).unwrap();
-
-    let mut group = c.benchmark_group("ablation_verify_kernels");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for (mix, eps) in [
-        ("reject_heavy", Dataset::Insect.default_epsilon_normalized()),
-        ("accept_heavy", 1_000.0),
-    ] {
-        for (name, kernel) in [
-            ("scalar", VerifyKernel::Scalar),
-            ("blockwise", VerifyKernel::Blockwise),
-        ] {
-            let pipeline = Pipeline::new(&query, eps).with_kernel(kernel);
-            group.bench_function(BenchmarkId::new(mix, name), |b| {
-                b.iter(|| {
-                    let mut set = CandidateSet::dense(max_start + 1);
-                    let mut out = Vec::new();
-                    let report = pipeline
-                        .verify_into(
-                            &mut set,
-                            |start, buf| store.read_range_into(start, buf),
-                            VerifyOptions {
-                                count_only: true,
-                                ..VerifyOptions::default()
-                            },
-                            &mut out,
-                        )
-                        .unwrap();
-                    black_box(report.matches)
-                });
-            });
-        }
     }
     group.finish();
 }
@@ -328,7 +272,6 @@ fn bench_node_capacity(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_reordering,
-    bench_verify_kernels,
     bench_bulk_load,
     bench_parallel_query,
     bench_batch_scaling,

@@ -16,7 +16,6 @@ fn bench_options() -> HarnessOptions {
     HarnessOptions {
         scale: 32,
         queries: 5,
-        kernel: None,
     }
 }
 

@@ -11,7 +11,6 @@ fn bench_fig5(c: &mut Criterion) {
     let options = HarnessOptions {
         scale: 32,
         queries: 5,
-        kernel: None,
     };
     let normalization = Normalization::WholeSeries;
     // One dataset is enough for the bench; the binary sweeps both.

@@ -11,7 +11,6 @@ fn bench_fig6(c: &mut Criterion) {
     let options = HarnessOptions {
         scale: 32,
         queries: 5,
-        kernel: None,
     };
     let normalization = Normalization::PerSubsequence;
     let len = 100;

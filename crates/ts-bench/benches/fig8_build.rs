@@ -12,7 +12,6 @@ fn bench_fig8_build(c: &mut Criterion) {
     let options = HarnessOptions {
         scale: 64,
         queries: 1,
-        kernel: None,
     };
     let len = 100;
 

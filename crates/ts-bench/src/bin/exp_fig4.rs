@@ -7,12 +7,10 @@
 //! store behaves method by method, plus a parallel-traversal scaling record
 //! (`parallel_verification`) proving the block-cached and mmap stores do not
 //! serialise the traversal workers behind one mutex, a `metrics_overhead`
-//! record keeping the always-on registry within budget, a `verify_kernels`
-//! record ablating the pipeline's scalar vs blockwise vs fused Chebyshev
-//! kernels per method (blockwise — the default — must not lose to scalar,
-//! fused must not lose to blockwise), and a `verify_normalized` record
-//! proving the rolling-statistics run-coalescing path beats per-window
-//! normalised reads on every file-backed store (the Fig. 6 regime on disk).
+//! record keeping the always-on registry within budget, and a
+//! `verify_normalized` record proving the rolling-statistics run-coalescing
+//! path beats per-window normalised reads on every file-backed store (the
+//! Fig. 6 regime on disk).
 
 use ts_bench::json::JsonValue;
 use ts_bench::{
@@ -125,90 +123,6 @@ fn metrics_overhead(
     ])
 }
 
-/// The kernel ablation the verify-loop refactor is accountable to: the same
-/// query batch per method, timed with the process-wide default kernel set to
-/// `Scalar`, `Blockwise` (the shipped default) and `Fused`, best of a few
-/// rounds each.  Recorded as the additive `verify_kernels` section so the
-/// committed report proves blockwise is no slower than scalar, and fused no
-/// slower than blockwise, on every method.
-fn verify_kernels(series: &[f64], workload: &QueryWorkload, epsilon: f64, len: usize) -> JsonValue {
-    use ts_core::pipeline::{set_default_kernel, VerifyKernel};
-    let store = StoreKind::DISK_BACKED[1]; // disk-cached: the verification read path
-    let batch: Vec<TwinQuery> = workload
-        .iter()
-        .map(|q| TwinQuery::new(q.to_vec(), epsilon).collect_stats())
-        .collect();
-    // This section ablates the *kernel*, so it records the verify-phase
-    // wall-clock from the stats split, not whole-batch time — the filter
-    // side is identical across kernels and only dilutes the comparison with
-    // its own noise.  Best-of over enough rounds that scheduler noise stops
-    // dominating the few-percent kernel deltas, with the kernels timed
-    // round-robin within each round so slow machine drift (page cache,
-    // thermals) biases all three equally instead of whichever kernel
-    // happened to run in the slow window.
-    const ROUNDS: usize = 80;
-    let mut rows = Vec::new();
-    for method in Method::ALL {
-        // One engine at a time: four live engines mean four block caches of
-        // hot state competing for the LLC, which perturbs exactly the
-        // cache-residency effects this ablation is trying to measure.
-        let engine =
-            &build_engines_with_store(series, &[method], len, Normalization::WholeSeries, store)[0];
-        // Per-query minimum across rounds, summed — a much tighter floor
-        // estimator than best-of whole batches, since one noisy query in a
-        // round no longer discards the round's other clean measurements.
-        let mut best = std::array::from_fn::<_, 3, _>(|_| vec![f64::INFINITY; batch.len()]);
-        let mut kernel_matches = [0usize; 3];
-        for _ in 0..ROUNDS {
-            for (slot, kernel) in VerifyKernel::ALL.into_iter().enumerate() {
-                set_default_kernel(kernel);
-                let outcomes = engine.search_batch(&batch).expect("valid queries");
-                for (floor, outcome) in best[slot].iter_mut().zip(&outcomes) {
-                    let verify_ms = outcome
-                        .stats
-                        .as_ref()
-                        .expect("stats requested")
-                        .verify_time
-                        .as_secs_f64()
-                        * 1e3;
-                    *floor = floor.min(verify_ms);
-                }
-                kernel_matches[slot] = outcomes.iter().map(|o| o.match_count).sum();
-            }
-        }
-        let [scalar_ms, blockwise_ms, fused_ms] = best.map(|floors| floors.iter().sum::<f64>());
-        let [scalar_matches, blockwise_matches, fused_matches] = kernel_matches;
-        set_default_kernel(VerifyKernel::default()); // restore the shipped default
-        assert_eq!(
-            scalar_matches, blockwise_matches,
-            "kernels must be result-identical"
-        );
-        assert_eq!(
-            blockwise_matches, fused_matches,
-            "kernels must be result-identical"
-        );
-        let speedup = scalar_ms / blockwise_ms;
-        let fused_speedup = blockwise_ms / fused_ms;
-        println!(
-            "verify kernels | {:<9} store={} rounds={ROUNDS}: scalar {scalar_ms:.3} ms, blockwise {blockwise_ms:.3} ms ({speedup:.2}x), fused {fused_ms:.3} ms ({fused_speedup:.2}x vs blockwise), {scalar_matches} matches",
-            engine.method().label(),
-            store.label(),
-        );
-        rows.push(JsonValue::obj(vec![
-            ("method", JsonValue::Str(engine.method().to_string())),
-            ("store", JsonValue::Str(store.label().to_string())),
-            ("rounds", JsonValue::Int(ROUNDS as u64)),
-            ("scalar_ms", JsonValue::Num(scalar_ms)),
-            ("blockwise_ms", JsonValue::Num(blockwise_ms)),
-            ("fused_ms", JsonValue::Num(fused_ms)),
-            ("speedup", JsonValue::Num(speedup)),
-            ("fused_speedup", JsonValue::Num(fused_speedup)),
-            ("matches", JsonValue::Int(scalar_matches as u64)),
-        ]));
-    }
-    JsonValue::Arr(rows)
-}
-
 /// The rolling-normalisation ablation (the Fig. 6 regime on disk): a dense
 /// sweep over a `PerSubsequenceNormalized` file-backed store, verified the
 /// pre-rolling way (one normalised window-sized read per candidate, no
@@ -297,7 +211,6 @@ fn verify_normalized(series: &[f64], workload: &QueryWorkload, epsilon: f64) -> 
 
 fn main() {
     let options = HarnessOptions::from_args();
-    options.apply_kernel();
     let normalization = Normalization::WholeSeries;
     let len = 100;
     let mut report = FigureReport::new(
@@ -342,11 +255,6 @@ fn main() {
             report.extras.push((
                 "metrics_overhead".to_string(),
                 metrics_overhead(&series, &workload, epsilon, len),
-            ));
-            println!();
-            report.extras.push((
-                "verify_kernels".to_string(),
-                verify_kernels(&series, &workload, epsilon, len),
             ));
             println!();
             report.extras.push((

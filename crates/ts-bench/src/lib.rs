@@ -64,9 +64,6 @@ pub struct HarnessOptions {
     pub scale: usize,
     /// Number of queries per workload.
     pub queries: usize,
-    /// Process-wide verification kernel override (`--kernel=NAME`); `None`
-    /// keeps the pipeline default (blockwise).
-    pub kernel: Option<ts_core::pipeline::VerifyKernel>,
 }
 
 impl Default for HarnessOptions {
@@ -74,15 +71,13 @@ impl Default for HarnessOptions {
         Self {
             scale: DEFAULT_SCALE,
             queries: DEFAULT_QUERIES,
-            kernel: None,
         }
     }
 }
 
 impl HarnessOptions {
-    /// Parses `--full`, `--scale=N`, `--queries=N` and
-    /// `--kernel=scalar|blockwise|fused` from the process arguments;
-    /// everything else is ignored.
+    /// Parses `--full`, `--scale=N` and `--queries=N` from the process
+    /// arguments; everything else is ignored.
     #[must_use]
     pub fn from_args() -> Self {
         Self::from_arg_list(std::env::args().skip(1))
@@ -104,21 +99,9 @@ impl HarnessOptions {
                 if let Ok(q) = v.parse::<usize>() {
                     options.queries = q.max(1);
                 }
-            } else if let Some(v) = arg.strip_prefix("--kernel=") {
-                if let Ok(kernel) = v.parse() {
-                    options.kernel = Some(kernel);
-                }
             }
         }
         options
-    }
-
-    /// Applies the `--kernel` override to the process-wide pipeline default
-    /// (no-op without the flag).  Harness binaries call this once at start.
-    pub fn apply_kernel(&self) {
-        if let Some(kernel) = self.kernel {
-            ts_core::pipeline::set_default_kernel(kernel);
-        }
     }
 
     /// The generated length of `dataset` under this scale.
@@ -521,11 +504,6 @@ mod tests {
         ]);
         assert_eq!(bad.scale, 1);
         assert_eq!(bad.queries, DEFAULT_QUERIES);
-
-        let fused = HarnessOptions::from_arg_list(vec!["--kernel=fused".to_string()]);
-        assert_eq!(fused.kernel, Some(ts_core::pipeline::VerifyKernel::Fused));
-        let unknown = HarnessOptions::from_arg_list(vec!["--kernel=simd".to_string()]);
-        assert_eq!(unknown.kernel, None);
     }
 
     #[test]
@@ -533,7 +511,6 @@ mod tests {
         let options = HarnessOptions {
             scale: 8,
             queries: 10,
-            kernel: None,
         };
         // Insect is never scaled: it is already small.
         assert_eq!(options.dataset_len(Dataset::Insect), 64_436);
@@ -542,7 +519,6 @@ mod tests {
         let huge_scale = HarnessOptions {
             scale: 1_000_000,
             queries: 1,
-            kernel: None,
         };
         assert_eq!(huge_scale.dataset_len(Dataset::Eeg), 2_000);
     }
@@ -570,7 +546,6 @@ mod tests {
         let options = HarnessOptions {
             scale: 1_000_000,
             queries: 3,
-            kernel: None,
         };
         let series = generate(Dataset::Eeg, &options);
         assert_eq!(series.len(), 2_000);
@@ -610,7 +585,6 @@ mod tests {
         let options = HarnessOptions {
             scale: 1_000_000,
             queries: 2,
-            kernel: None,
         };
         let series = generate(Dataset::Eeg, &options);
         let engines = build_engines(&series, &Method::ALL, 100, Normalization::WholeSeries);
@@ -682,7 +656,6 @@ mod tests {
         let options = HarnessOptions {
             scale: 64,
             queries: 5,
-            kernel: None,
         };
         let mut report = FigureReport::new("fig_extra", "extras", &options);
         report.extras.push((

@@ -74,11 +74,9 @@ COMMANDS:
                              for random verification reads, or a memory map)
              [--shards N]   (partition the series across N independent
                              engines; results are identical to --shards 1)
-             [--threads T]  (work-stealing parallel traversal / shard
-                             fan-out; clamped to the available cores)
-             [--verify-kernel scalar|blockwise|fused]
-                            (early-abandon kernel used during verification;
-                             default blockwise, fused pairs adjacent windows)
+             [--threads T]  (TS-Index work-stealing traversal / shard
+                             fan-out width; the other methods run on one
+                             thread; clamped to the available cores)
              [--stats]      (print candidate/pruning counts and the
                              filter-vs-verify time split)
   compare    Chebyshev twins vs Euclidean range query (the paper's intro experiment)
@@ -325,17 +323,10 @@ fn cmd_query<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "top-k",
         "limit",
         "threads",
-        "verify-kernel",
         "stats",
     ])?;
     let values = load_series(args.require("series")?)?;
     let method = parse_method(args.get("method"))?;
-    if let Some(raw) = args.get("verify-kernel") {
-        let kernel: ts_core::pipeline::VerifyKernel = raw
-            .parse()
-            .map_err(|e: String| CliError::Args(ArgError(e)))?;
-        ts_core::pipeline::set_default_kernel(kernel);
-    }
     let normalization = parse_normalization(args.get("normalization"))?;
     let store = parse_store(args.get("store"))?;
     let epsilon: f64 = args.require_parsed("epsilon")?;
@@ -610,24 +601,21 @@ fn cmd_ingest<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> 
 
     // Stream the rest: append a chunk, then immediately query.
     let twin_query = TwinQuery::new(query, epsilon);
-    let report =
-        |engine: &ShardedLiveEngine, appended: usize, out: &mut W| -> Result<(), CliError> {
-            let outcome = engine.execute(&twin_query).map_err(run_err)?;
-            writeln!(
-                out,
-                "+{appended:>6} points | total {:>8} | twins {:>5} | query {:.3?}",
-                engine.len(),
-                outcome.match_count,
-                outcome.query_time
-            )
-            .map_err(run_err)?;
-            Ok(())
-        };
-    report(&engine, 0, out)?;
+    let report = |appended: usize, total: usize, out: &mut W| -> Result<(), CliError> {
+        let outcome = engine.execute(&twin_query).map_err(run_err)?;
+        writeln!(
+            out,
+            "+{appended:>6} points | total {total:>8} | twins {:>5} | query {:.3?}",
+            outcome.match_count, outcome.query_time
+        )
+        .map_err(run_err)?;
+        Ok(())
+    };
+    report(0, engine.len(), out)?;
     for chunk_values in chunks {
         let values = chunk_values.map_err(run_err)?;
-        engine.append(&values).map_err(run_err)?;
-        report(&engine, values.len(), out)?;
+        let (total, _) = engine.append(&values).map_err(run_err)?;
+        report(values.len(), total, out)?;
     }
 
     if want_stats {
@@ -1078,6 +1066,23 @@ mod tests {
         assert!(run(&["generate", "--kind", "sine", "--out", "/tmp/x"]).is_err());
         assert!(run(&["generate", "--kind", "sine", "--len", "10"]).is_err());
         assert!(run(&["generate", "--wat", "1", "--len", "10", "--out", "/tmp/x"]).is_err());
+        // A removed flag is an unknown flag: `CliError::Args` is what `main`
+        // answers with the usage text and exit code 1.
+        let err = run(&[
+            "query",
+            "--series",
+            "/tmp/x",
+            "--epsilon",
+            "0.3",
+            "--verify-kernel",
+            "x",
+        ])
+        .unwrap_err();
+        assert!(matches!(err, CliError::Args(_)), "{err}");
+        assert!(
+            err.to_string().contains("unknown option --verify-kernel"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1240,60 +1245,6 @@ mod tests {
         .unwrap();
         assert!(sweep.contains("stats: candidates"), "{sweep}");
 
-        std::fs::remove_file(&bin_path).ok();
-    }
-
-    #[test]
-    fn query_verify_kernel_flag() {
-        let bin_path = temp("kernel.bin");
-        run(&[
-            "generate", "--kind", "eeg", "--len", "3000", "--seed", "9", "--out", &bin_path,
-        ])
-        .unwrap();
-
-        // All three kernels are accepted and answer identically (they are
-        // pinned byte-identical by the pipeline proptests).
-        let mut outputs = Vec::new();
-        for kernel in ["scalar", "blockwise", "fused"] {
-            let report = run(&[
-                "query",
-                "--series",
-                &bin_path,
-                "--epsilon",
-                "0.3",
-                "--len",
-                "100",
-                "--query-start",
-                "700",
-                "--verify-kernel",
-                kernel,
-            ])
-            .unwrap();
-            assert!(report.contains("twins found"), "{kernel}: {report}");
-            let positions: Vec<String> = report
-                .lines()
-                .filter(|l| l.trim_start().starts_with("position"))
-                .map(str::to_string)
-                .collect();
-            assert!(!positions.is_empty(), "{kernel}: {report}");
-            outputs.push(positions);
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[1], outputs[2]);
-
-        let err = run(&[
-            "query",
-            "--series",
-            &bin_path,
-            "--epsilon",
-            "0.3",
-            "--verify-kernel",
-            "simd",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown verify kernel"), "{err}");
-
-        ts_core::pipeline::set_default_kernel(ts_core::pipeline::VerifyKernel::Blockwise);
         std::fs::remove_file(&bin_path).ok();
     }
 

@@ -47,7 +47,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::obs;
@@ -261,93 +261,6 @@ impl Executor {
             tasks_stolen,
             workers_engaged,
             threads: workers,
-        })
-    }
-
-    /// Double-buffered read-ahead: fills each `(start, len)` request with
-    /// `fill` and hands the filled buffer to `consume`, **in request
-    /// order**, overlapping the fill of request *i + 1* with the consume of
-    /// request *i*.  `consume` returns `false` to stop early (remaining
-    /// requests are neither filled nor consumed beyond the one already in
-    /// flight, whose result is discarded).
-    ///
-    /// With more than one thread and at least two requests, a single
-    /// producer thread performs the fills into two rotating buffers while
-    /// the calling thread consumes — the producer is therefore at most one
-    /// request ahead, bounding memory at two buffers.  Otherwise the loop
-    /// degrades to strictly sequential fill-then-consume on the calling
-    /// thread (the `threads = 1` fallback).  Consumption always happens on
-    /// the calling thread, so `consume` may borrow mutable state freely.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `fill` reports; requests after the failing
-    /// one are not filled.
-    pub fn prefetch_reads<E: Send>(
-        &self,
-        requests: &[(usize, usize)],
-        fill: &(impl Fn(usize, &mut [f64]) -> Result<(), E> + Sync),
-        mut consume: impl FnMut(usize, &[f64]) -> bool,
-    ) -> Result<(), E> {
-        if self.threads <= 1 || requests.len() < 2 {
-            let mut buf = Vec::new();
-            for (index, &(start, len)) in requests.iter().enumerate() {
-                buf.clear();
-                buf.resize(len, 0.0);
-                fill(start, &mut buf)?;
-                if !consume(index, &buf) {
-                    break;
-                }
-            }
-            return Ok(());
-        }
-        std::thread::scope(|scope| {
-            let (buf_tx, buf_rx) = mpsc::channel::<Vec<f64>>();
-            let (full_tx, full_rx) = mpsc::channel::<Result<(usize, Vec<f64>), E>>();
-            for _ in 0..2 {
-                buf_tx.send(Vec::new()).expect("receiver is alive");
-            }
-            scope.spawn(move || {
-                for (index, &(start, len)) in requests.iter().enumerate() {
-                    // The consumer dropped its sender: early stop.
-                    let Ok(mut buf) = buf_rx.recv() else { return };
-                    buf.clear();
-                    buf.resize(len, 0.0);
-                    match fill(start, &mut buf) {
-                        Ok(()) => {
-                            if full_tx.send(Ok((index, buf))).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = full_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            });
-            let mut result = Ok(());
-            for _ in 0..requests.len() {
-                match full_rx.recv() {
-                    Ok(Ok((index, buf))) => {
-                        if !consume(index, &buf) {
-                            break;
-                        }
-                        // Rotate the buffer back; the producer may already
-                        // be gone after the final request.
-                        let _ = buf_tx.send(buf);
-                    }
-                    Ok(Err(e)) => {
-                        result = Err(e);
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Unblocks a producer waiting for a rotated buffer, so the scope
-            // can join it.
-            drop(buf_tx);
-            result
         })
     }
 }
@@ -596,80 +509,6 @@ mod tests {
             1,
             "the error must stop the pool before any further task runs"
         );
-    }
-
-    #[test]
-    fn prefetch_reads_delivers_in_order_on_both_paths() {
-        let series: Vec<f64> = (0..512).map(|i| i as f64).collect();
-        let requests: Vec<(usize, usize)> = (0..20).map(|i| (i * 25, 10 + i % 5)).collect();
-        let fill = |start: usize, buf: &mut [f64]| -> Result<(), String> {
-            buf.copy_from_slice(&series[start..start + buf.len()]);
-            Ok(())
-        };
-        for threads in [1usize, 2, 4] {
-            let pool = Executor::exact(threads);
-            let mut seen = Vec::new();
-            pool.prefetch_reads(&requests, &fill, |index, buf| {
-                assert_eq!(buf.len(), requests[index].1);
-                assert_eq!(buf[0], requests[index].0 as f64, "buffer holds its fill");
-                seen.push(index);
-                true
-            })
-            .unwrap();
-            assert_eq!(
-                seen,
-                (0..requests.len()).collect::<Vec<_>>(),
-                "threads={threads}: strict request order"
-            );
-        }
-    }
-
-    #[test]
-    fn prefetch_reads_early_stop_and_error() {
-        let requests: Vec<(usize, usize)> = (0..50).map(|i| (i, 4)).collect();
-        for threads in [1usize, 2] {
-            let pool = Executor::exact(threads);
-            // Early stop: consuming returns false after the third buffer.
-            let mut consumed = 0usize;
-            pool.prefetch_reads(
-                &requests,
-                &|_start, buf: &mut [f64]| {
-                    buf.fill(1.0);
-                    Ok::<(), String>(())
-                },
-                |_index, _buf| {
-                    consumed += 1;
-                    consumed < 3
-                },
-            )
-            .unwrap();
-            assert_eq!(consumed, 3, "threads={threads}");
-
-            // Errors propagate; nothing after the failing fill is consumed.
-            let mut consumed = Vec::new();
-            let err = pool
-                .prefetch_reads(
-                    &requests,
-                    &|start, buf: &mut [f64]| {
-                        if start == 5 {
-                            return Err(format!("fill {start} failed"));
-                        }
-                        buf.fill(0.0);
-                        Ok(())
-                    },
-                    |index, _buf| {
-                        consumed.push(index);
-                        true
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err, "fill 5 failed");
-            assert_eq!(consumed, vec![0, 1, 2, 3, 4], "threads={threads}");
-        }
-        // Degenerate inputs.
-        Executor::exact(4)
-            .prefetch_reads(&[], &|_, _: &mut [f64]| Ok::<(), String>(()), |_, _| true)
-            .unwrap();
     }
 
     #[test]

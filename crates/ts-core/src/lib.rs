@@ -16,7 +16,8 @@
 //! * [`mbts`] — the *Minimum Bounding Time Series* envelope and the two
 //!   distance functions of Equations (2) and (3) that drive the TS-Index (§5).
 //! * [`verify`] — filter-verification helpers with *reordering early
-//!   abandoning* (§3.2): the scalar and blockwise chunked Chebyshev kernels.
+//!   abandoning* (§3.2): the blockwise chunked Chebyshev kernel the pipeline
+//!   runs, and the scalar kernel the equivalence tests use as its reference.
 //! * [`pipeline`] — the unified candidate→verification pipeline every
 //!   method funnels through: [`pipeline::CandidateSet`] (sorted, deduped,
 //!   coalesced into contiguous runs), the pooled [`pipeline::Scratch`]
@@ -93,7 +94,7 @@ pub use error::{Result, TsError};
 pub use exec::Executor;
 pub use maintain::{IngestStats, MaintainableSearcher};
 pub use mbts::Mbts;
-pub use pipeline::{CandidateSet, Pipeline, Scratch, VerifyKernel, VerifyOptions, VerifyReport};
+pub use pipeline::{CandidateSet, Pipeline, Scratch, VerifyOptions, VerifyReport};
 pub use query::{SearchOutcome, SearchStats, TwinQuery};
 pub use series::{Subsequence, TimeSeries};
 pub use twin::{are_twins, euclidean_threshold_for};

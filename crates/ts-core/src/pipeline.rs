@@ -12,14 +12,12 @@
 //! 2. One [`Pipeline::verify_into`] loop serves each run with a single
 //!    contiguous [`read_range`](Pipeline::verify_into) call into a pooled
 //!    [`Scratch`] buffer and checks every window in the run with the
-//!    selected early-abandoning kernel ([`VerifyKernel`]) — the blockwise
-//!    chunked kernel by default, the scalar kernel for ablations, and the
-//!    fused kernel pairing two overlapping run windows per pass.  With
+//!    early-abandoning blockwise kernel
+//!    ([`Verifier::is_twin_blockwise_counted`]).  With
 //!    [`VerifyOptions::rolling_norm`] the run buffer holds **raw** values
 //!    and each window is z-normalised inside the loop from rolling
 //!    per-window statistics, which is how per-subsequence-normalising
-//!    stores coalesce at all.  [`Pipeline::verify_prefetched`] overlaps the
-//!    next run's read with the current run's kernel passes.
+//!    stores coalesce at all.
 //! 3. [`finish_outcome`] is the single filter/verify timing split: total
 //!    query wall-clock minus measured verify time (saturating), replacing
 //!    the per-method fixups the crates used to hand-roll.
@@ -35,11 +33,9 @@
 use std::cell::RefCell;
 use std::mem;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::exec::Executor;
 use crate::normalize::znormalize_with;
 use crate::obs;
 use crate::query::{SearchOutcome, SearchStats, TwinQuery};
@@ -110,90 +106,6 @@ fn depth_representative(slot: usize) -> f64 {
         .get(slot)
         .copied()
         .unwrap_or(DEPTH_BUCKETS[DEPTH_BUCKETS.len() - 1] + 1.0)
-}
-
-/// Which early-abandoning kernel [`Pipeline::verify_into`] runs per window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyKernel {
-    /// One position per abandon check ([`Verifier::is_twin_counted`]).
-    Scalar,
-    /// A scalar peel of the first [`crate::verify::BLOCK`] positions, then
-    /// fixed blocks of [`crate::verify::BLOCK`] positions max-reduced in
-    /// [`crate::verify::LANES`]-wide chunks, one abandon branch per block
-    /// ([`Verifier::is_twin_blockwise_counted`]).  The shipped default.
-    #[default]
-    Blockwise,
-    /// Two overlapping run windows verified per pass over the shared loaded
-    /// values ([`Verifier::is_twin_fused_counted`]), each with its own
-    /// early-abandon state; isolated candidates, the odd window of an
-    /// odd-sized run and neighbours overlapping by less than half a window
-    /// fall back to the blockwise kernel.  Accepts, rejects and reported
-    /// depths are identical to [`VerifyKernel::Blockwise`].
-    Fused,
-}
-
-impl VerifyKernel {
-    /// Every kernel, in ablation order.
-    pub const ALL: [VerifyKernel; 3] = [
-        VerifyKernel::Scalar,
-        VerifyKernel::Blockwise,
-        VerifyKernel::Fused,
-    ];
-
-    /// Stable lower-case name (CLI flag value / bench record key).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            VerifyKernel::Scalar => "scalar",
-            VerifyKernel::Blockwise => "blockwise",
-            VerifyKernel::Fused => "fused",
-        }
-    }
-}
-
-impl std::fmt::Display for VerifyKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for VerifyKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(VerifyKernel::Scalar),
-            "blockwise" => Ok(VerifyKernel::Blockwise),
-            "fused" => Ok(VerifyKernel::Fused),
-            other => Err(format!(
-                "unknown verify kernel '{other}' (expected scalar, blockwise or fused)"
-            )),
-        }
-    }
-}
-
-static DEFAULT_KERNEL: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the process-wide default kernel new [`Pipeline`]s pick up.  The
-/// kernel-ablation bench and the CLI `--verify-kernel` flag flip this;
-/// production code leaves it at [`VerifyKernel::Blockwise`].
-pub fn set_default_kernel(kernel: VerifyKernel) {
-    let v = match kernel {
-        VerifyKernel::Scalar => 0,
-        VerifyKernel::Blockwise => 1,
-        VerifyKernel::Fused => 2,
-    };
-    DEFAULT_KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default kernel (see [`set_default_kernel`]).
-#[must_use]
-pub fn default_kernel() -> VerifyKernel {
-    match DEFAULT_KERNEL.load(Ordering::Relaxed) {
-        0 => VerifyKernel::Scalar,
-        2 => VerifyKernel::Fused,
-        _ => VerifyKernel::Blockwise,
-    }
 }
 
 /// Candidate positions collected from a filter, awaiting verification.
@@ -337,21 +249,33 @@ impl CandidateSet {
         let mut out = Vec::new();
         let mut i = 0;
         while i < self.positions.len() {
-            let first = self.positions[i] as usize;
-            let mut j = i + 1;
-            while j < self.positions.len() {
-                let p = self.positions[j] as usize;
-                let prev = self.positions[j - 1] as usize;
-                if p > prev + window_len || p + window_len - first > max_span {
-                    break;
-                }
-                j += 1;
-            }
+            let j = run_end(&self.positions, i, window_len, max_span);
             out.push((self.positions[i], self.positions[j - 1]));
             i = j;
         }
         out
     }
+}
+
+/// The run-growth rule, written once: the exclusive end index of the
+/// coalesced run starting at `positions[start]`.  A position joins while its
+/// window overlaps or abuts the previous one (`p ≤ prev + window_len`, so
+/// the run's contiguous read wastes no values) and the run's value span
+/// stays within `max_span` (already clamped up to `window_len`, so a run's
+/// first window is always accepted).  `positions` is sorted and duplicate
+/// free.
+fn run_end(positions: &[u32], start: usize, window_len: usize, max_span: usize) -> usize {
+    let first = positions[start] as usize;
+    let mut end = start + 1;
+    while end < positions.len() {
+        let p = positions[end] as usize;
+        let prev = positions[end - 1] as usize;
+        if p > prev + window_len || p + window_len - first > max_span {
+            break;
+        }
+        end += 1;
+    }
+    end
 }
 
 thread_local! {
@@ -581,17 +505,15 @@ pub struct VerifyReport {
 }
 
 /// The verification half of a twin search, bound to one query: comparison
-/// plan ([`Verifier`]), threshold and kernel.
+/// plan ([`Verifier`]) and threshold.
 #[derive(Debug, Clone)]
 pub struct Pipeline<'q> {
     verifier: Verifier<'q>,
     epsilon: f64,
-    kernel: VerifyKernel,
 }
 
 impl<'q> Pipeline<'q> {
-    /// A pipeline with reordering early abandoning and the process default
-    /// kernel.
+    /// A pipeline with reordering early abandoning.
     #[must_use]
     pub fn new(query: &'q [f64], epsilon: f64) -> Self {
         Self::from_verifier(Verifier::new(query), epsilon)
@@ -613,18 +535,7 @@ impl<'q> Pipeline<'q> {
     /// Wraps an existing comparison plan.
     #[must_use]
     pub fn from_verifier(verifier: Verifier<'q>, epsilon: f64) -> Self {
-        Self {
-            verifier,
-            epsilon,
-            kernel: default_kernel(),
-        }
-    }
-
-    /// Overrides the kernel for this pipeline.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: VerifyKernel) -> Self {
-        self.kernel = kernel;
-        self
+        Self { verifier, epsilon }
     }
 
     /// The comparison plan.
@@ -683,17 +594,12 @@ impl<'q> Pipeline<'q> {
             if i >= positions.len() || report.matches >= limit {
                 break Ok(());
             }
-            // Grow the run: overlapping/abutting windows, capped span.
             let first = positions[i] as usize;
-            let mut j = i + 1;
-            while options.coalesce && j < positions.len() {
-                let p = positions[j] as usize;
-                let prev = positions[j - 1] as usize;
-                if p > prev + len || p + len - first > max_span {
-                    break;
-                }
-                j += 1;
-            }
+            let j = if options.coalesce {
+                run_end(positions, i, len, max_span)
+            } else {
+                i + 1
+            };
             let span = positions[j - 1] as usize + len - first;
             report.runs += 1;
             let mut buf = Scratch::take_counted(span, &mut metrics);
@@ -712,86 +618,6 @@ impl<'q> Pipeline<'q> {
             );
             i = j;
         };
-
-        candidates.clear();
-        metrics.flush(&report);
-        if let Some(t) = started {
-            report.verify_time = t.elapsed();
-        }
-        result.map(|()| report)
-    }
-
-    /// [`Pipeline::verify_into`] with **run prefetch**: while run *i*'s
-    /// windows go through the kernel on this thread, a producer thread
-    /// spawned from `executor` already issues the `read_range` for run
-    /// *i + 1* into the second of two rotating buffers
-    /// ([`crate::exec::Executor::prefetch_reads`]), overlapping the next
-    /// run's I/O with the current run's compute.  Only the *reads* are
-    /// overlapped — verification itself stays on the calling thread, runs
-    /// are consumed strictly in position order, and results (including
-    /// limit-driven early stops) are identical to the sequential loop.
-    ///
-    /// Falls back to plain [`Pipeline::verify_into`] when the executor has a
-    /// single thread or there are fewer than two runs to overlap.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `read_range` reports; the candidate set is
-    /// drained either way.
-    pub fn verify_prefetched<E: Send>(
-        &self,
-        candidates: &mut CandidateSet,
-        read_range: impl Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
-        executor: &Executor,
-        options: VerifyOptions,
-        out: &mut Vec<usize>,
-    ) -> Result<VerifyReport, E> {
-        touch_metrics();
-        let len = self.verifier.len();
-        let runs = if options.coalesce {
-            candidates.runs_with_span(len, options.max_run_span)
-        } else {
-            candidates.normalize();
-            candidates.positions.iter().map(|&p| (p, p)).collect()
-        };
-        if executor.threads() <= 1 || runs.len() < 2 {
-            return self.verify_into(candidates, |s, b| read_range(s, b), options, out);
-        }
-        let started = options.timed.then(Instant::now);
-        let limit = options.limit.unwrap_or(usize::MAX);
-        let mut metrics = VerifyMetrics::default();
-        let mut report = VerifyReport::default();
-
-        // One read request per run, plus the index range of the candidate
-        // positions each run covers.
-        let positions = &candidates.positions;
-        let mut requests = Vec::with_capacity(runs.len());
-        let mut ranges = Vec::with_capacity(runs.len());
-        let mut i = 0;
-        for &(first, last) in &runs {
-            requests.push((first as usize, last as usize + len - first as usize));
-            let mut j = i;
-            while j < positions.len() && positions[j] <= last {
-                j += 1;
-            }
-            ranges.push((i, j));
-            i = j;
-        }
-        let result = executor.prefetch_reads(&requests, &read_range, |idx, buf| {
-            let (a, b) = ranges[idx];
-            report.runs += 1;
-            self.verify_run(
-                &positions[a..b],
-                requests[idx].0,
-                buf,
-                &options,
-                limit,
-                &mut metrics,
-                &mut report,
-                out,
-            );
-            report.matches < limit
-        });
 
         candidates.clear();
         metrics.flush(&report);
@@ -820,104 +646,30 @@ impl<'q> Pipeline<'q> {
     ) {
         let len = self.verifier.len();
         // Rolling z-normalisation: one pass of per-window mean/std over the
-        // raw run buffer; windows are normalised into scratch on demand.
-        let stats = options.rolling_norm.then(|| {
+        // raw run buffer; each window is normalised into scratch on demand.
+        let mut rolling = options.rolling_norm.then(|| {
             let count = buf.len() - len + 1;
             let mut stats = Scratch::take_counted(2 * count, metrics);
             rolling_mean_std_into(buf, len, &mut stats);
-            stats
+            (stats, Scratch::take_counted(len, metrics))
         });
-        let mut norm = stats.is_some().then(|| {
-            let per_pass = if self.kernel == VerifyKernel::Fused {
-                2 * len // the fused kernel normalises both pair windows
-            } else {
-                len
-            };
-            Scratch::take_counted(per_pass, metrics)
-        });
-
-        let mut k = 0;
-        // The fused kernel pairs two adjacent run windows per pass — but
-        // only when the pair genuinely shares its loaded values (overlap of
-        // at least half a window).  Wide-gapped neighbours, the odd last
-        // window and isolated candidates fall through to the blockwise
-        // kernel, which wins on them; singleton runs (the common shape for
-        // scattered tree-ordered candidates) skip the pairing dispatch
-        // entirely and take the plain loop below.
-        while self.kernel == VerifyKernel::Fused
-            && run.len() >= 2
-            && k < run.len()
-            && report.matches < limit
-        {
-            let p = run[k] as usize;
-            let off = p - first;
-            if k + 1 < run.len() {
-                let p2 = run[k + 1] as usize;
-                let off2 = p2 - first;
-                if off2 - off <= len / 2 {
-                    let (r1, r2) = match (&stats, &mut norm) {
-                        (Some(stats), Some(norm)) => {
-                            let (w1, w2) = norm.split_at_mut(len);
-                            w1.copy_from_slice(&buf[off..off + len]);
-                            w2.copy_from_slice(&buf[off2..off2 + len]);
-                            znormalize_with(w1, stats[2 * off], stats[2 * off + 1]);
-                            znormalize_with(w2, stats[2 * off2], stats[2 * off2 + 1]);
-                            self.verifier.is_twin_fused_counted(w1, w2, self.epsilon)
-                        }
-                        _ => self.verifier.is_twin_fused_counted(
-                            &buf[off..off + len],
-                            &buf[off2..off2 + len],
-                            self.epsilon,
-                        ),
-                    };
-                    // Record in position order; the limit can stop between
-                    // the pair, exactly like the unfused loop would have.
-                    record_window(p, r1, options, metrics, report, out);
-                    if report.matches >= limit {
-                        return;
-                    }
-                    record_window(p2, r2, options, metrics, report, out);
-                    k += 2;
-                    continue;
-                }
+        for &p in run {
+            if report.matches >= limit {
+                break;
             }
-            let result = match (&stats, &mut norm) {
-                (Some(stats), Some(norm)) => {
-                    let w = &mut norm[..len];
-                    w.copy_from_slice(&buf[off..off + len]);
-                    znormalize_with(w, stats[2 * off], stats[2 * off + 1]);
-                    self.kernel_pass(&norm[..len])
-                }
-                _ => self.kernel_pass(&buf[off..off + len]),
-            };
-            record_window(p, result, options, metrics, report, out);
-            k += 1;
-        }
-        while k < run.len() && report.matches < limit {
-            let p = run[k] as usize;
+            let p = p as usize;
             let off = p - first;
-            let result = match (&stats, &mut norm) {
-                (Some(stats), Some(norm)) => {
-                    let w = &mut norm[..len];
-                    w.copy_from_slice(&buf[off..off + len]);
-                    znormalize_with(w, stats[2 * off], stats[2 * off + 1]);
-                    self.kernel_pass(&norm[..len])
+            let result = match &mut rolling {
+                Some((stats, norm)) => {
+                    norm.copy_from_slice(&buf[off..off + len]);
+                    znormalize_with(norm, stats[2 * off], stats[2 * off + 1]);
+                    self.verifier.is_twin_blockwise_counted(norm, self.epsilon)
                 }
-                _ => self.kernel_pass(&buf[off..off + len]),
+                None => self
+                    .verifier
+                    .is_twin_blockwise_counted(&buf[off..off + len], self.epsilon),
             };
             record_window(p, result, options, metrics, report, out);
-            k += 1;
-        }
-    }
-
-    /// One single-window kernel pass ([`VerifyKernel::Fused`] verifies
-    /// unpaired windows with the blockwise kernel, which is pass-identical).
-    fn kernel_pass(&self, window: &[f64]) -> (bool, usize) {
-        match self.kernel {
-            VerifyKernel::Scalar => self.verifier.is_twin_counted(window, self.epsilon),
-            VerifyKernel::Blockwise | VerifyKernel::Fused => self
-                .verifier
-                .is_twin_blockwise_counted(window, self.epsilon),
         }
     }
 }
@@ -1080,24 +832,22 @@ mod tests {
         for epsilon in [0.0, 0.3, 1.0] {
             for cands in candidate_lists {
                 let expected = naive(&series, &query, epsilon, cands);
-                for kernel in VerifyKernel::ALL {
-                    let pipeline = Pipeline::new(&query, epsilon).with_kernel(kernel);
-                    let mut cs = CandidateSet::new();
-                    cs.extend_from_slice(cands);
-                    let mut out = Vec::new();
-                    let report = pipeline
-                        .verify_into(
-                            &mut cs,
-                            read_from(&series),
-                            VerifyOptions::exhaustive(true),
-                            &mut out,
-                        )
-                        .unwrap();
-                    assert_eq!(out, expected, "kernel {kernel:?} eps {epsilon}");
-                    assert_eq!(report.matches, expected.len());
-                    assert!(cs.is_empty(), "verify_into drains the set");
-                    assert!(report.runs <= report.verified);
-                }
+                let pipeline = Pipeline::new(&query, epsilon);
+                let mut cs = CandidateSet::new();
+                cs.extend_from_slice(cands);
+                let mut out = Vec::new();
+                let report = pipeline
+                    .verify_into(
+                        &mut cs,
+                        read_from(&series),
+                        VerifyOptions::exhaustive(true),
+                        &mut out,
+                    )
+                    .unwrap();
+                assert_eq!(out, expected, "eps {epsilon}");
+                assert_eq!(report.matches, expected.len());
+                assert!(cs.is_empty(), "verify_into drains the set");
+                assert!(report.runs <= report.verified);
             }
         }
     }
@@ -1185,8 +935,8 @@ mod tests {
     fn rolling_norm_matches_per_window_normalised_reads() {
         // Raw reads + in-pipeline rolling z-normalisation must accept the
         // same positions as per-window normalised reads with coalescing off
-        // — for every kernel, including candidate sets with adjacent
-        // overlapping windows and a constant (std = 0) stretch.
+        // — including candidate sets with adjacent overlapping windows and
+        // a constant (std = 0) stretch.
         let mut series: Vec<f64> = (0..300)
             .map(|i| (f64::from(i) * 0.37).sin() * 5.0 + f64::from(i % 17))
             .collect();
@@ -1207,36 +957,34 @@ mod tests {
         };
         let candidates: Vec<u32> = (0..280).step_by(3).chain(40..60).chain(118..162).collect();
         for epsilon in [0.05, 0.4, 1.1] {
-            for kernel in VerifyKernel::ALL {
-                let pipeline = Pipeline::new(&query, epsilon).with_kernel(kernel);
-                let mut cs = CandidateSet::new();
-                cs.extend_from_slice(&candidates);
-                let mut expected = Vec::new();
-                pipeline
-                    .verify_into(
-                        &mut cs,
-                        per_window_read,
-                        VerifyOptions::exhaustive(false).with_coalesce(false),
-                        &mut expected,
-                    )
-                    .unwrap();
-                let mut cs = CandidateSet::new();
-                cs.extend_from_slice(&candidates);
-                let mut got = Vec::new();
-                let report = pipeline
-                    .verify_into(
-                        &mut cs,
-                        raw_read,
-                        VerifyOptions::exhaustive(false).with_rolling_norm(true),
-                        &mut got,
-                    )
-                    .unwrap();
-                assert_eq!(got, expected, "kernel {kernel:?} eps {epsilon}");
-                assert!(
-                    report.runs < report.verified,
-                    "rolling norm re-enables coalescing (kernel {kernel:?})"
-                );
-            }
+            let pipeline = Pipeline::new(&query, epsilon);
+            let mut cs = CandidateSet::new();
+            cs.extend_from_slice(&candidates);
+            let mut expected = Vec::new();
+            pipeline
+                .verify_into(
+                    &mut cs,
+                    per_window_read,
+                    VerifyOptions::exhaustive(false).with_coalesce(false),
+                    &mut expected,
+                )
+                .unwrap();
+            let mut cs = CandidateSet::new();
+            cs.extend_from_slice(&candidates);
+            let mut got = Vec::new();
+            let report = pipeline
+                .verify_into(
+                    &mut cs,
+                    raw_read,
+                    VerifyOptions::exhaustive(false).with_rolling_norm(true),
+                    &mut got,
+                )
+                .unwrap();
+            assert_eq!(got, expected, "eps {epsilon}");
+            assert!(
+                report.runs < report.verified,
+                "rolling norm re-enables coalescing"
+            );
         }
     }
 
@@ -1272,111 +1020,6 @@ mod tests {
         assert_eq!(report.runs, runs.len());
         assert!(max_read <= 256, "no run read may exceed the span override");
         assert_eq!(out.len(), 1000);
-    }
-
-    #[test]
-    fn prefetched_matches_sequential_exactly() {
-        let series: Vec<f64> = (0..900).map(|i| ((i % 31) as f64) * 0.21 - 3.0).collect();
-        let query: Vec<f64> = series[100..140].to_vec();
-        let candidates: Vec<u32> = (0..800).step_by(7).chain([100, 101, 102]).collect();
-        let executor = crate::exec::Executor::exact(2);
-        for kernel in VerifyKernel::ALL {
-            for epsilon in [0.0, 0.25, 2.0] {
-                // Force many small runs so the producer thread really
-                // rotates buffers.
-                let options = VerifyOptions::exhaustive(true).with_max_run_span(64);
-                let pipeline = Pipeline::new(&query, epsilon).with_kernel(kernel);
-                let mut cs = CandidateSet::new();
-                cs.extend_from_slice(&candidates);
-                let mut expected = Vec::new();
-                let expected_report = pipeline
-                    .verify_into(&mut cs, read_from(&series), options, &mut expected)
-                    .unwrap();
-                let mut cs = CandidateSet::new();
-                cs.extend_from_slice(&candidates);
-                let mut got = Vec::new();
-                let report = pipeline
-                    .verify_prefetched(
-                        &mut cs,
-                        |start, buf| {
-                            let end = start + buf.len();
-                            if end > series.len() {
-                                return Err(format!("read {start}..{end} past {}", series.len()));
-                            }
-                            buf.copy_from_slice(&series[start..end]);
-                            Ok(())
-                        },
-                        &executor,
-                        options,
-                        &mut got,
-                    )
-                    .unwrap();
-                assert_eq!(got, expected, "kernel {kernel:?} eps {epsilon}");
-                assert!(cs.is_empty(), "prefetched path drains the set");
-                assert_eq!(report.verified, expected_report.verified);
-                assert_eq!(report.matches, expected_report.matches);
-                assert_eq!(report.runs, expected_report.runs);
-            }
-        }
-    }
-
-    #[test]
-    fn prefetched_limit_stops_with_smallest_positions() {
-        let series = vec![0.0; 4000];
-        let query = vec![0.0; 4];
-        let pipeline = Pipeline::new(&query, 0.5);
-        let executor = crate::exec::Executor::exact(2);
-        let mut cs = CandidateSet::new();
-        // Positions far enough apart that each is its own run.
-        cs.extend_from_slice(&[3900, 10, 2000, 900, 3000]);
-        let mut out = Vec::new();
-        let report = pipeline
-            .verify_prefetched(
-                &mut cs,
-                |start, buf| {
-                    buf.copy_from_slice(&series[start..start + buf.len()]);
-                    Ok::<(), String>(())
-                },
-                &executor,
-                VerifyOptions {
-                    limit: Some(2),
-                    ..VerifyOptions::default()
-                },
-                &mut out,
-            )
-            .unwrap();
-        assert_eq!(out, vec![10, 900], "limit keeps the smallest positions");
-        assert_eq!(report.matches, 2);
-        assert!(report.verified < 5, "the limit must stop the scan early");
-    }
-
-    #[test]
-    fn prefetched_read_errors_propagate_and_still_drain() {
-        let series = vec![0.0; 100];
-        let query = vec![0.0; 4];
-        let pipeline = Pipeline::new(&query, 0.5);
-        let executor = crate::exec::Executor::exact(2);
-        let mut cs = CandidateSet::new();
-        cs.extend_from_slice(&[10, 50, 2000, 90]); // third run reads past the end
-        let mut out = Vec::new();
-        let err = pipeline
-            .verify_prefetched(
-                &mut cs,
-                |start, buf| {
-                    let end = start + buf.len();
-                    if end > series.len() {
-                        return Err(format!("read {start}..{end} past {}", series.len()));
-                    }
-                    buf.copy_from_slice(&series[start..end]);
-                    Ok(())
-                },
-                &executor,
-                VerifyOptions::exhaustive(false),
-                &mut out,
-            )
-            .unwrap_err();
-        assert!(err.contains("past"), "{err}");
-        assert!(cs.is_empty(), "the set is drained even on error");
     }
 
     #[test]
@@ -1494,24 +1137,5 @@ mod tests {
         let plain = TwinQuery::new(vec![0.0; 4], 0.1);
         let outcome = finish_outcome("test", Instant::now(), &plain, vec![], 0, 1, stats);
         assert!(outcome.stats.is_none());
-    }
-
-    #[test]
-    fn default_kernel_is_a_process_global() {
-        assert_eq!(default_kernel(), VerifyKernel::Blockwise);
-        set_default_kernel(VerifyKernel::Scalar);
-        assert_eq!(default_kernel(), VerifyKernel::Scalar);
-        set_default_kernel(VerifyKernel::Fused);
-        assert_eq!(default_kernel(), VerifyKernel::Fused);
-        set_default_kernel(VerifyKernel::Blockwise);
-    }
-
-    #[test]
-    fn kernel_labels_round_trip() {
-        for kernel in VerifyKernel::ALL {
-            assert_eq!(kernel.label().parse::<VerifyKernel>().unwrap(), kernel);
-            assert_eq!(kernel.to_string(), kernel.label());
-        }
-        assert!("simd".parse::<VerifyKernel>().is_err());
     }
 }

@@ -52,13 +52,15 @@ impl TwinQuery {
         }
     }
 
-    /// Requests a multi-threaded traversal with (up to) `threads` workers.
+    /// Sets the width, in worker threads, of the TS-Index traversal and of
+    /// the shard and batch fan-out — and of nothing else: Sweepline,
+    /// KV-Index and iSAX answer a single query on one thread whatever is
+    /// asked for here.
     ///
     /// The requested count is clamped to the machine's
     /// [`crate::exec::available_parallelism`] (never below 1), so a query
     /// built on a 4-core box never asks an executor for 64 workers;
-    /// [`TwinQuery::threads`] returns the clamped value.  Methods without a
-    /// parallel path answer sequentially either way; the outcome's
+    /// [`TwinQuery::threads`] returns the clamped value and the outcome's
     /// [`SearchOutcome::threads_used`] reports what actually happened.
     #[must_use]
     pub fn parallel(mut self, threads: usize) -> Self {

@@ -8,9 +8,12 @@
 //!
 //! Two kernels implement the twin check:
 //!
-//! * the **scalar** kernel compares one position at a time and abandons at the
-//!   first violation — minimal work on the reject path;
-//! * the **blockwise** kernel ([`Verifier::is_twin_blockwise_counted`])
+//! * the **scalar** kernel ([`Verifier::is_twin_counted`]) compares one
+//!   position at a time and abandons at the first violation.  It is the
+//!   reference the equivalence tests compare against;
+//!   [`crate::pipeline::Pipeline`] never calls it;
+//! * the **blockwise** kernel ([`Verifier::is_twin_blockwise_counted`]), the
+//!   one the pipeline runs,
 //!   peels the first [`BLOCK`] positions one comparison at a time — the
 //!   reordered plan front-loads the most-discriminating positions, so the
 //!   common reject still costs one comparison — then processes the rest in
@@ -212,142 +215,6 @@ impl<'q> Verifier<'q> {
         (true, n)
     }
 
-    /// Fused twin check for **two** candidate windows of the same run: both
-    /// windows share the early-abandon peel loop — one iteration checks the
-    /// same comparison position of both windows while both are alive, so the
-    /// dominant both-reject case pays one loop and one branch stream instead
-    /// of two kernel calls.  Windows that survive the peel finish in the
-    /// blockwise kernel's tight per-window block loop: adjacent run windows
-    /// overlap almost entirely, so the second scan runs over values the
-    /// first left hot in L1 — fusing the block phase itself would only cost
-    /// pipelining.
-    ///
-    /// Each window's `(accepted, examined_positions)` answer is **identical**
-    /// to what [`Self::is_twin_blockwise_counted`] would report for it alone
-    /// — the fusion only changes the visit interleaving, never a comparison
-    /// or a depth — so the pipeline may pair or not pair windows freely
-    /// without changing any result.  When both windows have abandoned, the
-    /// pass stops early.
-    #[must_use]
-    pub fn is_twin_fused_counted(
-        &self,
-        first_window: &[f64],
-        second_window: &[f64],
-        epsilon: f64,
-    ) -> ((bool, usize), (bool, usize)) {
-        debug_assert_eq!(first_window.len(), self.query.len());
-        debug_assert_eq!(second_window.len(), self.query.len());
-        let n = self.query.len();
-        let first = BLOCK.min(n);
-        let mut r1: Option<(bool, usize)> = None;
-        let mut r2: Option<(bool, usize)> = None;
-        // Peel: the hot loop — both windows alive — carries no per-window
-        // liveness state, just two comparisons and one combined abandon
-        // branch per position.  The first abandon drops to a tight
-        // single-window continuation for the survivor (the blockwise peel,
-        // verbatim), so each window's reported depth stays exact.
-        let mut k = 0;
-        if self.ordered.is_empty() {
-            for (q, (c1, c2)) in self.query[..first]
-                .iter()
-                .zip(first_window[..first].iter().zip(&second_window[..first]))
-            {
-                let a1 = (q - c1).abs() > epsilon;
-                let a2 = (q - c2).abs() > epsilon;
-                k += 1;
-                if a1 | a2 {
-                    if a1 && a2 {
-                        return ((false, k), (false, k));
-                    }
-                    if a1 {
-                        r1 = Some((false, k));
-                    } else {
-                        r2 = Some((false, k));
-                    }
-                    break;
-                }
-            }
-            if r1.is_some() != r2.is_some() {
-                let (window, slot) = if r1.is_some() {
-                    (second_window, &mut r2)
-                } else {
-                    (first_window, &mut r1)
-                };
-                for (j, (q, c)) in self.query[k..first]
-                    .iter()
-                    .zip(&window[k..first])
-                    .enumerate()
-                {
-                    if (q - c).abs() > epsilon {
-                        *slot = Some((false, k + j + 1));
-                        break;
-                    }
-                }
-            }
-        } else {
-            for (&q, &i) in self.ordered[..first].iter().zip(&self.order[..first]) {
-                let i = i as usize;
-                let a1 = (q - first_window[i]).abs() > epsilon;
-                let a2 = (q - second_window[i]).abs() > epsilon;
-                k += 1;
-                if a1 | a2 {
-                    if a1 && a2 {
-                        return ((false, k), (false, k));
-                    }
-                    if a1 {
-                        r1 = Some((false, k));
-                    } else {
-                        r2 = Some((false, k));
-                    }
-                    break;
-                }
-            }
-            if r1.is_some() != r2.is_some() {
-                let (window, slot) = if r1.is_some() {
-                    (second_window, &mut r2)
-                } else {
-                    (first_window, &mut r1)
-                };
-                for (j, (&q, &i)) in self.ordered[k..first]
-                    .iter()
-                    .zip(&self.order[k..first])
-                    .enumerate()
-                {
-                    if (q - window[i as usize]).abs() > epsilon {
-                        *slot = Some((false, k + j + 1));
-                        break;
-                    }
-                }
-            }
-        }
-        // Block phase: each peel survivor finishes in the blockwise kernel's
-        // tight per-window block loop.  Depth semantics mirror the blockwise
-        // kernel exactly: the sequential plan continues from the peeled
-        // prefix (depth = block end); the reordered plan rescans from
-        // position 0 in plain order (depth = peel + block end, capped at n).
-        let start0 = if self.ordered.is_empty() { first } else { 0 };
-        let finish = |window: &[f64]| -> (bool, usize) {
-            let mut start = start0;
-            while start < n {
-                let end = (start + BLOCK).min(n);
-                if max_abs_diff(&self.query[start..end], &window[start..end]) > epsilon {
-                    let depth = if self.ordered.is_empty() {
-                        end
-                    } else {
-                        (first + end).min(n)
-                    };
-                    return (false, depth);
-                }
-                start = end;
-            }
-            (true, n)
-        };
-        (
-            r1.unwrap_or_else(|| finish(first_window)),
-            r2.unwrap_or_else(|| finish(second_window)),
-        )
-    }
-
     /// The exact Chebyshev distance between the query and `candidate`
     /// (no abandoning); useful for top-k extensions and tests.
     #[must_use]
@@ -508,79 +375,6 @@ mod tests {
             let v = Verifier::new_sequential(&q);
             assert_eq!(v.is_twin_blockwise_counted(&c, 1.0), (false, hit + 1));
             assert_eq!(v.is_twin_counted(&c, 1.0), (false, hit + 1));
-        }
-    }
-
-    #[test]
-    fn fused_matches_blockwise_per_window_on_both_orders() {
-        // The fused pair check must report, for each window, the exact
-        // (accepted, depth) pair the blockwise kernel reports alone — for
-        // both comparison plans, across lengths straddling the BLOCK
-        // boundary and shifts straddling every epsilon.
-        for n in [1, 7, 15, 16, 17, 31, 32, 100] {
-            let q: Vec<f64> = (0..n).map(|i| ((i * 31) % 11) as f64 - 5.0).collect();
-            for (label, v) in [
-                ("reordered", Verifier::new(&q)),
-                ("sequential", Verifier::new_sequential(&q)),
-            ] {
-                for (s1, s2) in [(0.0, 0.0), (0.0, 0.9), (0.4, 1.6), (4.0, 0.2)] {
-                    let mk = |shift: f64| -> Vec<f64> {
-                        q.iter()
-                            .enumerate()
-                            .map(|(i, x)| x + shift * if i % 3 == 0 { 1.0 } else { -0.5 })
-                            .collect()
-                    };
-                    let (w1, w2) = (mk(s1), mk(s2));
-                    for eps in [0.05, 0.3, 0.85, 1.6, 10.0] {
-                        let (r1, r2) = v.is_twin_fused_counted(&w1, &w2, eps);
-                        assert_eq!(
-                            r1,
-                            v.is_twin_blockwise_counted(&w1, eps),
-                            "{label}: window 1, n={n} eps={eps} shifts=({s1},{s2})"
-                        );
-                        assert_eq!(
-                            r2,
-                            v.is_twin_blockwise_counted(&w2, eps),
-                            "{label}: window 2, n={n} eps={eps} shifts=({s1},{s2})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_peel_reports_exact_depths_per_window() {
-        // Violations inside the peeled first block abandon at exact scalar
-        // depths, independently per window.
-        let q = vec![0.0; 40];
-        let v = Verifier::new_sequential(&q);
-        let mut w1 = q.clone();
-        w1[3] = 5.0;
-        let mut w2 = q.clone();
-        w2[9] = 5.0;
-        let (r1, r2) = v.is_twin_fused_counted(&w1, &w2, 1.0);
-        assert_eq!(r1, (false, 4));
-        assert_eq!(r2, (false, 10));
-        // One abandons in the peel, the other survives to a full accept.
-        let (r1, r2) = v.is_twin_fused_counted(&w1, &q, 1.0);
-        assert_eq!(r1, (false, 4));
-        assert_eq!(r2, (true, 40));
-        // Block-phase abandons are block-granular, like the blockwise kernel.
-        let mut w3 = q.clone();
-        w3[20] = 5.0;
-        let (r1, r2) = v.is_twin_fused_counted(&w3, &q, 1.0);
-        assert_eq!(r1, (false, 2 * BLOCK));
-        assert_eq!(r2, (true, 40));
-    }
-
-    #[test]
-    fn fused_nan_never_abandons() {
-        let q = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let c = [1.0, f64::NAN, 3.0, 4.0, 5.0];
-        for v in [Verifier::new(&q), Verifier::new_sequential(&q)] {
-            let (r1, r2) = v.is_twin_fused_counted(&c, &q, 0.1);
-            assert!(r1.0 && r2.0);
         }
     }
 

@@ -61,4 +61,4 @@ pub use config::TsIndexConfig;
 pub use diagnostics::{Summary, TreeDiagnostics};
 pub use index::TsIndex;
 pub use query::{ParallelTraversal, SplitPolicy, TopKMatch};
-pub use stats::{TsIndexStats, TsQueryStats};
+pub use stats::TsIndexStats;

@@ -16,7 +16,6 @@ use ts_storage::{Result, SeriesStore, StorageError};
 
 use crate::index::TsIndex;
 use crate::node::{NodeId, NodeKind};
-use crate::stats::TsQueryStats;
 use ts_core::exec::{Executor, TaskContext};
 use ts_core::mbts::packed;
 use ts_core::pipeline::{
@@ -142,39 +141,18 @@ impl TsIndex {
         query: &[f64],
         epsilon: f64,
     ) -> Result<Vec<usize>> {
-        Ok(self.search_with_stats(store, query, epsilon)?.0)
-    }
-
-    /// Like [`TsIndex::search`] but also returns traversal statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TsIndex::search`].
-    pub fn search_with_stats<S: SeriesStore>(
-        &self,
-        store: &S,
-        query: &[f64],
-        epsilon: f64,
-    ) -> Result<(Vec<usize>, TsQueryStats)> {
         self.validate_query(query)?;
         let Some(root) = self.root else {
-            return Ok((Vec::new(), TsQueryStats::default()));
+            return Ok(Vec::new());
         };
         // Algorithm 1 initialises the candidate list with the root's
         // children; starting from the root itself is equivalent (its check
-        // can never prune anything its children would not).  The counters
-        // are collected unconditionally; only the timing split (which
-        // TsQueryStats does not carry) needs `collect`, so this path stays
-        // free of clock reads.
-        let (mut results, stats) = self.traverse(store, query, epsilon, &[root], false)?;
+        // can never prune anything its children would not).  Only the
+        // timing split needs `collect`, so this path stays free of clock
+        // reads.
+        let (mut results, _) = self.traverse(store, query, epsilon, &[root], false)?;
         results.sort_unstable();
-        let stats = TsQueryStats {
-            nodes_visited: stats.nodes_visited,
-            nodes_pruned: stats.nodes_pruned,
-            candidates: stats.candidates_generated,
-            matches: results.len(),
-        };
-        Ok((results, stats))
+        Ok(results)
     }
 
     /// Counts the twins of `query` without materialising the result list.
@@ -618,12 +596,18 @@ mod tests {
         let len = 100;
         let idx = TsIndex::build(&s, config(len)).unwrap();
         let query = s.read(50, len).unwrap();
-        let (results, stats) = idx.search_with_stats(&s, &query, 0.5).unwrap();
-        assert_eq!(stats.matches, results.len());
-        assert!(stats.candidates >= stats.matches);
-        assert!(stats.candidates < s.subsequence_count(len), "must prune");
+        let outcome = idx
+            .execute(&s, &TwinQuery::new(query.clone(), 0.5).collect_stats())
+            .unwrap();
+        let stats = outcome.stats.unwrap();
+        assert_eq!(outcome.match_count, outcome.positions.len());
+        assert!(stats.candidates_generated >= outcome.match_count);
+        assert!(
+            stats.candidates_generated < s.subsequence_count(len),
+            "must prune"
+        );
         assert!(stats.nodes_pruned > 0);
-        assert_eq!(idx.count(&s, &query, 0.5).unwrap(), results.len());
+        assert_eq!(idx.count(&s, &query, 0.5).unwrap(), outcome.match_count);
     }
 
     #[test]
@@ -722,7 +706,10 @@ mod tests {
         for start in [50usize, 3_000, 5_500] {
             let query = s.read(start, len).unwrap();
             for eps in [0.05, 0.5, 5.0] {
-                let sequential = idx.search(&s, &query, eps).unwrap();
+                let outcome = idx
+                    .execute(&s, &TwinQuery::new(query.clone(), eps).collect_stats())
+                    .unwrap();
+                let (sequential, seq_stats) = (outcome.positions, outcome.stats.unwrap());
                 // `Executor::exact` bypasses the clamp so multi-worker
                 // stealing is exercised even on a single-core container.
                 for threads in [2usize, 3, 4, 8] {
@@ -738,10 +725,12 @@ mod tests {
                         assert_eq!(traversal.threads_used, threads);
                         // Exact stats merge: node counters must equal the
                         // sequential traversal's exactly.
-                        let (_, seq_stats) = idx.search_with_stats(&s, &query, eps).unwrap();
                         assert_eq!(traversal.stats.nodes_visited, seq_stats.nodes_visited);
                         assert_eq!(traversal.stats.nodes_pruned, seq_stats.nodes_pruned);
-                        assert_eq!(traversal.stats.candidates_generated, seq_stats.candidates);
+                        assert_eq!(
+                            traversal.stats.candidates_generated,
+                            seq_stats.candidates_generated
+                        );
                         assert_eq!(
                             traversal.stats.candidates_verified,
                             traversal.stats.candidates_generated

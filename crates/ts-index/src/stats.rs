@@ -1,4 +1,4 @@
-//! Structural and per-query statistics.
+//! Structural statistics.
 
 /// Structural statistics of a built TS-Index (used for the Figure 8 style
 /// memory-footprint reporting and for the invariants checked in tests).
@@ -18,61 +18,12 @@ pub struct TsIndexStats {
     pub memory_bytes: usize,
 }
 
-/// Per-query execution statistics for Algorithm 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TsQueryStats {
-    /// Nodes whose MBTS was compared against the query.
-    pub nodes_visited: usize,
-    /// Nodes pruned because `d(Q, B) > ε` (Lemma 1).
-    pub nodes_pruned: usize,
-    /// Candidate subsequences fetched from the store for verification.
-    pub candidates: usize,
-    /// Candidates accepted as twins.
-    pub matches: usize,
-}
-
-impl TsQueryStats {
-    /// Merges the statistics of two partial traversals (used by the parallel
-    /// query path).
-    #[must_use]
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            nodes_visited: self.nodes_visited + other.nodes_visited,
-            nodes_pruned: self.nodes_pruned + other.nodes_pruned,
-            candidates: self.candidates + other.candidates,
-            matches: self.matches + other.matches,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_fields() {
-        let a = TsQueryStats {
-            nodes_visited: 1,
-            nodes_pruned: 2,
-            candidates: 3,
-            matches: 4,
-        };
-        let b = TsQueryStats {
-            nodes_visited: 10,
-            nodes_pruned: 20,
-            candidates: 30,
-            matches: 40,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.nodes_visited, 11);
-        assert_eq!(m.nodes_pruned, 22);
-        assert_eq!(m.candidates, 33);
-        assert_eq!(m.matches, 44);
-    }
-
-    #[test]
     fn defaults_are_zero() {
         assert_eq!(TsIndexStats::default().nodes, 0);
-        assert_eq!(TsQueryStats::default().candidates, 0);
     }
 }

@@ -23,7 +23,6 @@
 
 use std::time::{Duration, Instant};
 
-use ts_core::exec::Executor;
 use ts_core::pipeline::{finish_outcome, CandidateSet, Pipeline, VerifyOptions};
 use ts_core::query::{SearchOutcome, SearchStats, TwinQuery};
 use ts_core::stats::rolling_mean;
@@ -80,17 +79,6 @@ impl KvIndexConfig {
         self.buckets = buckets.max(1);
         self
     }
-}
-
-/// Per-query execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KvQueryStats {
-    /// Number of keys (buckets) whose range intersected the query range.
-    pub buckets_probed: usize,
-    /// Number of candidate positions generated by the filter step.
-    pub candidates: usize,
-    /// Number of candidates accepted after verification.
-    pub matches: usize,
 }
 
 /// The KV-Index: an inverted index from mean-value buckets to intervals of
@@ -282,36 +270,14 @@ impl KvIndex {
             .positions)
     }
 
-    /// Like [`Self::search`] but also returns filter/verification statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::search`].
-    pub fn search_with_stats<S: SeriesStore + Sync>(
-        &self,
-        store: &S,
-        query: &[f64],
-        epsilon: f64,
-    ) -> Result<(Vec<usize>, KvQueryStats)> {
-        let outcome = self.execute(
-            store,
-            &TwinQuery::new(query.to_vec(), epsilon).collect_stats(),
-        )?;
-        let stats = outcome.stats.expect("stats requested");
-        let stats = KvQueryStats {
-            buckets_probed: stats.nodes_visited - stats.nodes_pruned,
-            candidates: stats.candidates_generated,
-            matches: outcome.match_count,
-        };
-        Ok((outcome.positions, stats))
-    }
-
     /// Answers a [`TwinQuery`]: the uniform, instrumented entry point.
     ///
     /// The filter step considers every mean-value bucket (reported as
     /// visited nodes) and prunes those outside `[μ_q − ε, μ_q + ε]`; the
     /// candidates of the surviving buckets are verified in increasing
     /// position order, so a [`TwinQuery::limit`] stops verification early.
+    /// Filter and verification are single-threaded whatever
+    /// [`TwinQuery::parallel`] asks for.
     ///
     /// # Errors
     ///
@@ -338,17 +304,7 @@ impl KvIndex {
         let mut positions = Vec::new();
         let options = plan_verify_options(store, VerifyOptions::from_query(query));
         let read = |start: usize, buf: &mut [f64]| store.read_raw_range_into(start, buf);
-        let report = if query.threads() > 1 {
-            pipeline.verify_prefetched(
-                &mut candidate_set,
-                read,
-                &Executor::new(query.threads()),
-                options,
-                &mut positions,
-            )?
-        } else {
-            pipeline.verify_into(&mut candidate_set, read, options, &mut positions)?
-        };
+        let report = pipeline.verify_into(&mut candidate_set, read, options, &mut positions)?;
         let stats = SearchStats {
             candidates_generated: generated,
             candidates_verified: report.verified,
@@ -491,12 +447,18 @@ mod tests {
         let len = 80;
         let idx = KvIndex::build(&s, KvIndexConfig::new(len)).unwrap();
         let query = s.read(123, len).unwrap();
-        let (results, stats) = idx.search_with_stats(&s, &query, 0.8).unwrap();
-        assert_eq!(stats.matches, results.len());
-        assert!(stats.candidates >= stats.matches);
-        assert!(stats.buckets_probed >= 1);
+        let outcome = idx
+            .execute(&s, &TwinQuery::new(query.clone(), 0.8).collect_stats())
+            .unwrap();
+        let stats = outcome.stats.unwrap();
+        assert_eq!(outcome.match_count, outcome.positions.len());
+        assert!(stats.candidates_generated >= outcome.match_count);
+        assert!(
+            stats.nodes_visited - stats.nodes_pruned >= 1,
+            "at least one bucket probed"
+        );
         // Every reported match really is a twin.
-        for &p in &results {
+        for &p in &outcome.positions {
             let cand = s.read(p, len).unwrap();
             assert!(ts_core::are_twins(&query, &cand, 0.8));
         }

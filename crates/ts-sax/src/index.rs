@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ts_core::exec::Executor;
 use ts_core::paa::paa;
 use ts_core::pipeline::{finish_outcome, CandidateSet, Pipeline, Scratch, VerifyOptions};
 use ts_core::query::{SearchOutcome, SearchStats, TwinQuery};
@@ -61,19 +60,6 @@ pub struct IsaxIndexStats {
     pub height: usize,
     /// Approximate heap memory used by the index structure, in bytes.
     pub memory_bytes: usize,
-}
-
-/// Per-query execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IsaxQueryStats {
-    /// Nodes whose iSAX word was compared against the query.
-    pub nodes_visited: usize,
-    /// Nodes pruned by the segment-wise mean-range check.
-    pub nodes_pruned: usize,
-    /// Candidate subsequences fetched for verification.
-    pub candidates: usize,
-    /// Candidates accepted as twins.
-    pub matches: usize,
 }
 
 /// The iSAX index over all `l`-length subsequences of a series.
@@ -334,31 +320,6 @@ impl IsaxIndex {
             .positions)
     }
 
-    /// Like [`Self::search`] but also returns traversal statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::search`].
-    pub fn search_with_stats<S: SeriesStore + Sync>(
-        &self,
-        store: &S,
-        query: &[f64],
-        epsilon: f64,
-    ) -> Result<(Vec<usize>, IsaxQueryStats)> {
-        let outcome = self.execute(
-            store,
-            &TwinQuery::new(query.to_vec(), epsilon).collect_stats(),
-        )?;
-        let stats = outcome.stats.expect("stats requested");
-        let stats = IsaxQueryStats {
-            nodes_visited: stats.nodes_visited,
-            nodes_pruned: stats.nodes_pruned,
-            candidates: stats.candidates_generated,
-            matches: outcome.match_count,
-        };
-        Ok((outcome.positions, stats))
-    }
-
     /// Answers a [`TwinQuery`]: the uniform, instrumented entry point.
     ///
     /// The traversal prunes every node whose iSAX word fails the segment-wise
@@ -366,6 +327,8 @@ impl IsaxIndex {
     /// into a candidate set; one verification-pipeline pass then checks them
     /// in increasing position order, so a [`TwinQuery::limit`] stops
     /// verification after the `limit` smallest matching positions.
+    /// Traversal and verification are single-threaded whatever
+    /// [`TwinQuery::parallel`] asks for.
     ///
     /// # Errors
     ///
@@ -410,17 +373,7 @@ impl IsaxIndex {
         let mut positions = Vec::new();
         let options = plan_verify_options(store, VerifyOptions::from_query(query));
         let read = |start: usize, buf: &mut [f64]| store.read_raw_range_into(start, buf);
-        let report = if query.threads() > 1 {
-            pipeline.verify_prefetched(
-                &mut candidates,
-                read,
-                &Executor::new(query.threads()),
-                options,
-                &mut positions,
-            )?
-        } else {
-            pipeline.verify_into(&mut candidates, read, options, &mut positions)?
-        };
+        let report = pipeline.verify_into(&mut candidates, read, options, &mut positions)?;
         stats.candidates_verified = report.verified;
         stats.verify_time = report.verify_time;
         Ok(finish_outcome(
@@ -648,11 +601,17 @@ mod tests {
         let len = 100;
         let idx = IsaxIndex::build(&s, small_config(len)).unwrap();
         let query = s.read(42, len).unwrap();
-        let (_, stats) = idx.search_with_stats(&s, &query, 0.5).unwrap();
+        let outcome = idx
+            .execute(&s, &TwinQuery::new(query, 0.5).collect_stats())
+            .unwrap();
+        let stats = outcome.stats.unwrap();
         let total = s.subsequence_count(len);
-        assert!(stats.candidates < total, "filter should prune something");
+        assert!(
+            stats.candidates_generated < total,
+            "filter should prune something"
+        );
         assert!(stats.nodes_visited > 0);
-        assert!(stats.matches <= stats.candidates);
+        assert!(outcome.match_count <= stats.candidates_generated);
     }
 
     #[test]
@@ -661,10 +620,13 @@ mod tests {
         let len = 60;
         let idx = IsaxIndex::build(&s, small_config(len)).unwrap();
         let query = s.read(100, len).unwrap();
-        let (results, stats) = idx.search_with_stats(&s, &query, 1.0).unwrap();
-        assert_eq!(results.len(), stats.matches);
+        let outcome = idx
+            .execute(&s, &TwinQuery::new(query, 1.0).collect_stats())
+            .unwrap();
+        let stats = outcome.stats.unwrap();
+        assert_eq!(outcome.positions.len(), outcome.match_count);
         assert!(stats.nodes_pruned <= stats.nodes_visited);
-        assert!(results.contains(&100));
+        assert!(outcome.positions.contains(&100));
     }
 
     #[test]

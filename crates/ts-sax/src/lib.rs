@@ -25,4 +25,4 @@ mod config;
 mod index;
 
 pub use config::IsaxConfig;
-pub use index::{IsaxIndex, IsaxIndexStats, IsaxQueryStats};
+pub use index::{IsaxIndex, IsaxIndexStats};

@@ -17,21 +17,11 @@
 use std::time::{Duration, Instant};
 
 use ts_core::distance::euclidean_within;
-use ts_core::exec::Executor;
 use ts_core::pipeline::{finish_outcome, CandidateSet, Pipeline, Scratch, VerifyOptions};
 use ts_core::query::{SearchOutcome, SearchStats, TwinQuery};
 use ts_core::twin::euclidean_threshold_for;
 use ts_core::verify::Verifier;
 use ts_storage::{plan_verify_options, Result, SeriesStore};
-
-/// Statistics gathered while executing a sweepline query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Number of candidate subsequences examined (always `|T| − l + 1`).
-    pub candidates: usize,
-    /// Number of candidates accepted as twins.
-    pub matches: usize,
-}
 
 /// The sweepline twin searcher.
 ///
@@ -82,28 +72,6 @@ impl Sweepline {
             .positions)
     }
 
-    /// Like [`Self::search`] but also returns scan statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage read failures.
-    pub fn search_with_stats<S: SeriesStore + Sync>(
-        &self,
-        store: &S,
-        query: &[f64],
-        epsilon: f64,
-    ) -> Result<(Vec<usize>, SweepStats)> {
-        let outcome = self.execute(
-            store,
-            &TwinQuery::new(query.to_vec(), epsilon).collect_stats(),
-        )?;
-        let stats = SweepStats {
-            candidates: outcome.stats.expect("stats requested").candidates_verified,
-            matches: outcome.match_count,
-        };
-        Ok((outcome.positions, stats))
-    }
-
     /// Answers a [`TwinQuery`]: the uniform, instrumented entry point.
     ///
     /// The sweepline has no filter step, so every subsequence position is a
@@ -113,9 +81,7 @@ impl Sweepline {
     /// in-pipeline rolling normalisation for per-window-normalising stores).
     /// Because verification proceeds in increasing position order, a
     /// [`TwinQuery::limit`] stops the scan as soon as enough twins are found.
-    /// Queries asking for more than one thread overlap each run's store read
-    /// with the previous run's verification (the prefetch path); results and
-    /// counters are identical either way.
+    /// The scan is single-threaded whatever [`TwinQuery::parallel`] asks for.
     ///
     /// # Errors
     ///
@@ -138,17 +104,7 @@ impl Sweepline {
         let mut positions = Vec::new();
         let options = plan_verify_options(store, VerifyOptions::from_query(query));
         let read = |start: usize, buf: &mut [f64]| store.read_raw_range_into(start, buf);
-        let report = if query.threads() > 1 {
-            pipeline.verify_prefetched(
-                &mut candidate_set,
-                read,
-                &Executor::new(query.threads()),
-                options,
-                &mut positions,
-            )?
-        } else {
-            pipeline.verify_into(&mut candidate_set, read, options, &mut positions)?
-        };
+        let report = pipeline.verify_into(&mut candidate_set, read, options, &mut positions)?;
         let stats = SearchStats {
             candidates_generated: candidates,
             candidates_verified: report.verified,
@@ -369,10 +325,13 @@ mod tests {
         let s = store();
         let query = s.read(0, 100).unwrap();
         let sweep = Sweepline::new();
-        let (hits, stats) = sweep.search_with_stats(&s, &query, 0.2).unwrap();
-        assert_eq!(stats.candidates, s.subsequence_count(100));
-        assert_eq!(stats.matches, hits.len());
-        assert_eq!(sweep.count(&s, &query, 0.2).unwrap(), hits.len());
+        let outcome = sweep
+            .execute(&s, &TwinQuery::new(query.clone(), 0.2).collect_stats())
+            .unwrap();
+        let stats = outcome.stats.unwrap();
+        assert_eq!(stats.candidates_verified, s.subsequence_count(100));
+        assert_eq!(outcome.match_count, outcome.positions.len());
+        assert_eq!(sweep.count(&s, &query, 0.2).unwrap(), outcome.match_count);
     }
 
     #[test]

@@ -109,12 +109,12 @@ pub use ts_core::{are_twins, euclidean_threshold_for, Mbts, Subsequence, TimeSer
 pub use ts_data::{Dataset, ExperimentDefaults, ParameterGrid, QueryWorkload};
 pub use ts_index::{
     ParallelTraversal, SplitPolicy, TopKMatch, TreeDiagnostics, TsIndex, TsIndexConfig,
-    TsIndexStats, TsQueryStats,
+    TsIndexStats,
 };
 pub use ts_ingest::wal::snapshot_path_for;
 pub use ts_ingest::{AppendLogSeries, ChunkReader, WalConfig, WalSeries, WalStats};
-pub use ts_kv::{KvIndex, KvIndexConfig, KvQueryStats};
-pub use ts_sax::{IsaxConfig, IsaxIndex, IsaxIndexStats, IsaxQueryStats};
+pub use ts_kv::{KvIndex, KvIndexConfig};
+pub use ts_sax::{IsaxConfig, IsaxIndex, IsaxIndexStats};
 pub use ts_storage::{
     plan_verify_options, AppendableStore, BlockCacheConfig, BlockCachedSeries, DiskSeries,
     InMemorySeries, MmapSeries, PerSubsequenceNormalized, SeriesStore, StoreKind,

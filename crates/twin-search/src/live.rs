@@ -449,9 +449,12 @@ impl LiveEngine {
     }
 
     /// Appends `values` to the stream and brings the index up to date,
-    /// returning the number of fresh windows indexed.  Takes the write lock:
-    /// queries issued concurrently see the series either entirely before or
-    /// entirely after this append.
+    /// returning `(reached_len, windows_indexed)`: the series length right
+    /// after this append — read inside the same write section, so concurrent
+    /// appenders are never acknowledged with the same length — and the
+    /// number of fresh windows indexed.  Takes the write lock: queries
+    /// issued concurrently see the series either entirely before or entirely
+    /// after this append.
     ///
     /// # Errors
     ///
@@ -459,7 +462,7 @@ impl LiveEngine {
     /// the searcher's own indexed count ([`MaintainableSearcher`] contract),
     /// so if it fails partway the next append indexes the missed windows
     /// first — nothing is skipped or double-indexed.
-    pub fn append(&self, values: &[f64]) -> Result<usize> {
+    pub fn append(&self, values: &[f64]) -> Result<(usize, usize)> {
         // A poisoned lock is recovered rather than propagated as a panic
         // cascade.  A panic *outside* index maintenance leaves at worst a
         // store that ran ahead of the index — the same state a failed append
@@ -470,6 +473,7 @@ impl LiveEngine {
         repair_if_needed(&mut inner, &self.config)?;
         let store_started = Instant::now();
         let commit_seq = inner.store.append_buffered(values)?;
+        let reached_len = inner.store.len();
         let store_time = store_started.elapsed();
         let maintain_started = Instant::now();
         let LiveInner {
@@ -504,7 +508,7 @@ impl LiveEngine {
             let waited = wait_started.elapsed();
             *self.sync_wait.lock().unwrap_or_else(|e| e.into_inner()) += waited;
         }
-        Ok(windows)
+        Ok((reached_len, windows))
     }
 
     /// Answers a [`TwinQuery`] against the current state of the stream.
@@ -1089,6 +1093,59 @@ mod tests {
             let appended = appender.join().unwrap();
             assert!(appended > 0, "append pressure was actually sustained");
         });
+    }
+
+    #[test]
+    fn concurrent_appenders_are_acked_with_distinct_prefix_sum_lengths() {
+        // Each ack carries the length reached by *that* append, read inside
+        // the engine's own write section: sorted by reached length, the acks
+        // must replay as the prefix sums of their own chunk sizes.  Reading
+        // `len()` after `append` returned (what the tenant fast path used to
+        // do) lets two appenders be acknowledged with the same length.
+        const THREADS: usize = 4;
+        let values = stream();
+        let base = 600;
+        let config = EngineConfig::new(Method::TsIndex, 40).with_normalization(Normalization::None);
+        let group_commit =
+            ts_ingest::WalConfig::default().with_group_commit(Duration::from_micros(200), THREADS);
+        for (backend, config) in [
+            (LiveBackend::Memory, config),
+            (LiveBackend::TempLog, config.with_wal(group_commit)),
+        ] {
+            let live = LiveEngine::build(&values[..base], config, backend).unwrap();
+            let barrier = std::sync::Barrier::new(THREADS);
+            let mut acks: Vec<(usize, usize)> = std::thread::scope(|scope| {
+                let appenders: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (live, barrier, values) = (&live, &barrier, &values);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            (0..12)
+                                .map(|i| {
+                                    let size = 1 + (t * 5 + i * 3) % 17; // uneven chunks
+                                    let chunk = &values[base..base + size];
+                                    (live.append(chunk).unwrap().0, size)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                appenders
+                    .into_iter()
+                    .flat_map(|a| a.join().unwrap())
+                    .collect()
+            });
+            acks.sort_unstable();
+            let mut expected = base;
+            for (reached, size) in acks {
+                expected += size;
+                assert_eq!(
+                    reached, expected,
+                    "ack lengths must be the prefix sums of the chunk sizes in ack order"
+                );
+            }
+            assert_eq!(live.len(), expected);
+        }
     }
 
     #[test]

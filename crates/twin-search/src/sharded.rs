@@ -637,10 +637,13 @@ impl ShardedLiveEngine {
 
     /// Appends `values` to the stream, routing each stripe (and its overlap
     /// tail) to its round-robin shard and bringing every touched shard's
-    /// index up to date.  Returns the number of fresh windows indexed,
-    /// summed across shards (overlap windows are physically present in one
-    /// shard only, but overlap *points* are appended to two, so this sum
-    /// can exceed the global fresh-window count).
+    /// index up to date.  Returns `(reached_len, windows_indexed)`: the
+    /// global series length right after this append (computed under the
+    /// plan write lock this append holds throughout) and the number of
+    /// fresh windows indexed, summed across shards (overlap windows are
+    /// physically present in one shard only, but overlap *points* are
+    /// appended to two, so this sum can exceed the global fresh-window
+    /// count).
     ///
     /// # Errors
     ///
@@ -652,12 +655,12 @@ impl ShardedLiveEngine {
     /// whose store grew before its maintenance failed is caught up before
     /// the error returns), so nothing is duplicated and the position
     /// mapping stays exact.
-    pub fn append(&self, values: &[f64]) -> Result<usize> {
+    pub fn append(&self, values: &[f64]) -> Result<(usize, usize)> {
         let mut plan = self.plan.write().unwrap_or_else(|e| e.into_inner());
         if self.shards.len() == 1 {
-            let windows = self.shards[0].append(values)?;
+            let (_, windows) = self.shards[0].append(values)?;
             plan.total_len += values.len();
-            return Ok(windows);
+            return Ok((plan.total_len, windows));
         }
         let g0 = plan.total_len;
         let mut windows = 0usize;
@@ -668,9 +671,10 @@ impl ShardedLiveEngine {
             g0,
             values,
             |shard, seg_begin, slice| {
-                windows += self.shards[shard]
+                let (_, indexed) = self.shards[shard]
                     .append(slice)
                     .map_err(|e| (shard, seg_begin, e))?;
+                windows += indexed;
                 Ok(())
             },
         );
@@ -698,7 +702,7 @@ impl ShardedLiveEngine {
             return Err(error);
         }
         plan.total_len = g0 + values.len();
-        Ok(windows)
+        Ok((plan.total_len, windows))
     }
 
     /// Answers a [`TwinQuery`] against the current state of the stream:

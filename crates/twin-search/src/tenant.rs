@@ -439,8 +439,7 @@ impl Tenant {
                 // tenant only needs a read lock to reach it.
                 let state = self.read_state();
                 if let TenantState::Live(engine) = &*state {
-                    let windows = engine.append(values)?;
-                    return Ok((engine.len(), windows));
+                    return Ok(engine.append(values)?);
                 }
             }
             let mut state = self.state.write().unwrap_or_else(|e| e.into_inner());

@@ -46,8 +46,7 @@ fn main() {
     let mut seen = engine.len();
     while seen < stream.len() {
         let end = (seen + chunk_size).min(stream.len());
-        engine.append(&stream[seen..end]).expect("chunk is valid");
-        seen = end;
+        (seen, _) = engine.append(&stream[seen..end]).expect("chunk is valid");
         let outcome = engine.execute(&query).expect("query is valid");
         println!(
             "ingested {:>6} / {} points | {:>3} matches | query took {:?}",

@@ -12,12 +12,10 @@ Three report shapes are understood:
   store) pair across all datasets and parameters.  Baseline and fresh report
   must come from the same report schema (the committed baselines are
   regenerated whenever the row shape changes).  When the report carries
-  fig4's ``verify_kernels`` section, each method's scalar and blockwise
-  kernel times become ``verify_scalar@METHOD`` / ``verify_blockwise@METHOD``
-  (plus ``verify_fused@METHOD`` when present) keys and are trend-checked
-  like query times; a ``verify_normalized`` section contributes one
+  fig4's ``verify_normalized`` section, it contributes one
   ``verify_normalized@STORE`` key per disk-backed store tracking the
-  coalesced rolling-normalisation path.  A key the baseline tracks
+  coalesced rolling-normalisation path, trend-checked like query times.
+  A key the baseline tracks
   but the fresh report dropped is a hard failure; a key only the fresh
   report carries (a newer binary emitting a new optional section against an
   older baseline) is warned about and skipped.
@@ -58,19 +56,6 @@ def method_totals(report):
                 if "store" in row:
                     key = f"{key}@{row['store']}"
                 totals[key] = totals.get(key, 0.0) + row["avg_query_ms"]
-        # The per-method kernel ablation (fig4's ``verify_kernels`` section):
-        # both kernels are tracked as separate keys so a regression in either
-        # — including the shipped blockwise default silently degrading until
-        # it loses to scalar — fails the trend check.
-        for entry in report.get("verify_kernels", []):
-            method = entry["method"]
-            totals[f"verify_scalar@{method}"] = entry["scalar_ms"]
-            totals[f"verify_blockwise@{method}"] = entry["blockwise_ms"]
-            # The fused adjacent-window kernel is newer than some committed
-            # baselines; track it when present (older baselines simply never
-            # grew the key, so the missing-key hard failure does not fire).
-            if "fused_ms" in entry:
-                totals[f"verify_fused@{method}"] = entry["fused_ms"]
         # The rolling-normalisation ablation (fig4's ``verify_normalized``
         # section): the coalesced rolling path is tracked per disk-backed
         # store so it cannot silently regress back towards the per-window

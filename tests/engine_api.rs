@@ -49,11 +49,17 @@ fn tsindex_pruning_beats_isax_and_kv_on_candidates() {
     let store = ts_engine.store();
     let query = store.read(2_345, len).unwrap();
 
-    let ts_index = ts_engine.ts_index().unwrap();
-    let (_, ts_stats) = ts_index.search_with_stats(store, &query, eps).unwrap();
+    let stats_query = TwinQuery::new(query, eps).collect_stats();
+    let ts = ts_engine
+        .ts_index()
+        .unwrap()
+        .execute(store, &stats_query)
+        .unwrap();
 
-    let kv = twin_search::KvIndex::build(store, twin_search::KvIndexConfig::new(len)).unwrap();
-    let (_, kv_stats) = kv.search_with_stats(store, &query, eps).unwrap();
+    let kv = twin_search::KvIndex::build(store, twin_search::KvIndexConfig::new(len))
+        .unwrap()
+        .execute(store, &stats_query)
+        .unwrap();
 
     let isax = twin_search::IsaxIndex::build(
         store,
@@ -61,22 +67,26 @@ fn tsindex_pruning_beats_isax_and_kv_on_candidates() {
             .unwrap()
             .with_leaf_capacity(256),
     )
+    .unwrap()
+    .execute(store, &stats_query)
     .unwrap();
-    let (_, isax_stats) = isax.search_with_stats(store, &query, eps).unwrap();
 
-    assert_eq!(ts_stats.matches, kv_stats.matches);
-    assert_eq!(ts_stats.matches, isax_stats.matches);
+    let candidates = |outcome: &twin_search::SearchOutcome| {
+        outcome.stats.expect("stats requested").candidates_generated
+    };
+    assert_eq!(ts.match_count, kv.match_count);
+    assert_eq!(ts.match_count, isax.match_count);
     assert!(
-        ts_stats.candidates <= kv_stats.candidates,
+        candidates(&ts) <= candidates(&kv),
         "TS-Index candidates ({}) should not exceed KV-Index candidates ({})",
-        ts_stats.candidates,
-        kv_stats.candidates
+        candidates(&ts),
+        candidates(&kv)
     );
     assert!(
-        ts_stats.candidates <= isax_stats.candidates,
+        candidates(&ts) <= candidates(&isax),
         "TS-Index candidates ({}) should not exceed iSAX candidates ({})",
-        ts_stats.candidates,
-        isax_stats.candidates
+        candidates(&ts),
+        candidates(&isax)
     );
 }
 

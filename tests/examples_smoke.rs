@@ -98,8 +98,8 @@ fn streaming_monitor_path() {
     let mut last_count = 0usize;
     while seen < stream.len() {
         let end = (seen + 1_000).min(stream.len());
-        engine.append(&stream[seen..end]).expect("valid chunk");
-        seen = end;
+        (seen, _) = engine.append(&stream[seen..end]).expect("valid chunk");
+        assert_eq!(seen, end, "the ack carries the post-append length");
         let count = engine.search(&pattern, 0.4).expect("valid query").len();
         assert!(count >= last_count, "matches only ever accumulate");
         last_count = count;

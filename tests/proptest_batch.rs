@@ -97,6 +97,14 @@ fn check_batch_and_stats(
             prop_assert!(outcome.match_count <= stats.candidates_verified);
             prop_assert!(stats.nodes_pruned <= stats.nodes_visited);
         }
+        // `parallel(n)` is the TS-Index traversal / fan-out width and
+        // nothing else: the other methods answer on one thread regardless.
+        if engine.method() != Method::TsIndex {
+            let one = engine.execute(&queries[2].clone().parallel(1)).unwrap();
+            let four = engine.execute(&queries[2].clone().parallel(4)).unwrap();
+            prop_assert_eq!(&four.positions, &one.positions, "{}", engine.method());
+            prop_assert_eq!(four.threads_used, 1, "{}", engine.method());
+        }
     }
     Ok(())
 }

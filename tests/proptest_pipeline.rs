@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-use ts_core::exec::Executor;
-use ts_core::pipeline::{CandidateSet, Pipeline, VerifyKernel, VerifyOptions};
+use ts_core::pipeline::{CandidateSet, Pipeline, VerifyOptions};
 use ts_core::verify::Verifier;
 use ts_storage::{
     plan_verify_options, write_series, BlockCacheConfig, BlockCachedSeries, DiskSeries,
@@ -82,9 +81,8 @@ fn pipeline_verify<S: SeriesStore>(
     query: &[f64],
     epsilon: f64,
     candidates: &[u32],
-    kernel: VerifyKernel,
 ) -> StorageResult<(Vec<usize>, usize)> {
-    let pipeline = Pipeline::new(query, epsilon).with_kernel(kernel);
+    let pipeline = Pipeline::new(query, epsilon);
     let mut set = CandidateSet::new();
     set.extend_from_slice(candidates);
     let mut out = Vec::new();
@@ -127,9 +125,8 @@ fn rolling_pipeline_verify<S: SeriesStore>(
     query: &[f64],
     epsilon: f64,
     candidates: &[u32],
-    kernel: VerifyKernel,
 ) -> StorageResult<(Vec<usize>, usize, usize)> {
-    let pipeline = Pipeline::new(query, epsilon).with_kernel(kernel);
+    let pipeline = Pipeline::new(query, epsilon);
     let mut set = CandidateSet::new();
     set.extend_from_slice(candidates);
     let mut out = Vec::new();
@@ -158,7 +155,6 @@ proptest! {
         len_frac in 0.05_f64..0.3,
         query_frac in 0.0_f64..1.0,
         eps in 0.05_f64..1.5,
-        kernel_pick in 0usize..3,
     ) {
         let n = values.len();
         let len = ((n as f64 * len_frac) as usize).clamp(4, n / 2);
@@ -175,13 +171,12 @@ proptest! {
         }
         let q_start = (query_frac * max_start as f64) as usize;
         let query = values[q_start..q_start + len].to_vec();
-        let kernel = VerifyKernel::ALL[kernel_pick];
 
         let expected = naive_verify(&values, &query, eps, &candidates);
 
         let mem = InMemorySeries::new(values.clone()).unwrap();
-        let (got, runs) = pipeline_verify(&mem, &query, eps, &candidates, kernel).unwrap();
-        prop_assert_eq!(&got, &expected, "memory, kernel {:?}", kernel);
+        let (got, runs) = pipeline_verify(&mem, &query, eps, &candidates).unwrap();
+        prop_assert_eq!(&got, &expected, "memory");
         // Dedup happened: never more runs than distinct candidates.
         let mut distinct = candidates.clone();
         distinct.sort_unstable();
@@ -190,18 +185,18 @@ proptest! {
 
         let file = TempSeries::write(&values);
         let disk = DiskSeries::open(&file.path).unwrap();
-        prop_assert_eq!(&pipeline_verify(&disk, &query, eps, &candidates, kernel).unwrap().0, &expected, "disk");
+        prop_assert_eq!(&pipeline_verify(&disk, &query, eps, &candidates).unwrap().0, &expected, "disk");
         let cached = BlockCachedSeries::open(&file.path).unwrap();
-        prop_assert_eq!(&pipeline_verify(&cached, &query, eps, &candidates, kernel).unwrap().0, &expected, "disk-cached");
+        prop_assert_eq!(&pipeline_verify(&cached, &query, eps, &candidates).unwrap().0, &expected, "disk-cached");
         let mapped = MmapSeries::open(&file.path).unwrap();
-        prop_assert_eq!(&pipeline_verify(&mapped, &query, eps, &candidates, kernel).unwrap().0, &expected, "mmap");
+        prop_assert_eq!(&pipeline_verify(&mapped, &query, eps, &candidates).unwrap().0, &expected, "mmap");
     }
 
     /// Rolling-statistics equivalence (the Fig. 6 regime): verifying through
     /// a `PerSubsequenceNormalized` store with coalesced raw run reads and
     /// in-pipeline rolling normalisation answers exactly like naive
     /// per-candidate reads of store-normalised windows — on every file
-    /// backend and with every kernel, including constant (std = 0) windows.
+    /// backend, including constant (std = 0) windows.
     #[test]
     fn rolling_normalisation_matches_per_window_reads_on_every_backend(
         values in series_strategy(),
@@ -239,122 +234,27 @@ proptest! {
         let expected = naive_normalized_verify(&mem, &query, eps, &candidates);
 
         let file = TempSeries::write(&values);
-        for kernel in VerifyKernel::ALL {
-            let (got, runs, verified) =
-                rolling_pipeline_verify(&mem, &query, eps, &candidates, kernel).unwrap();
-            prop_assert_eq!(&got, &expected, "memory, kernel {:?}", kernel);
-            // The adjacent pairs injected above guarantee coalescing bites.
-            prop_assert!(runs < verified, "runs {} vs verified {}", runs, verified);
+        let (got, runs, verified) =
+            rolling_pipeline_verify(&mem, &query, eps, &candidates).unwrap();
+        prop_assert_eq!(&got, &expected, "memory");
+        // The adjacent pairs injected above guarantee coalescing bites.
+        prop_assert!(runs < verified, "runs {} vs verified {}", runs, verified);
 
-            let disk = PerSubsequenceNormalized::new(DiskSeries::open(&file.path).unwrap());
-            prop_assert_eq!(
-                &rolling_pipeline_verify(&disk, &query, eps, &candidates, kernel).unwrap().0,
-                &expected, "disk, kernel {:?}", kernel
-            );
-            let cached = PerSubsequenceNormalized::new(BlockCachedSeries::open(&file.path).unwrap());
-            prop_assert_eq!(
-                &rolling_pipeline_verify(&cached, &query, eps, &candidates, kernel).unwrap().0,
-                &expected, "disk-cached, kernel {:?}", kernel
-            );
-            let mapped = PerSubsequenceNormalized::new(MmapSeries::open(&file.path).unwrap());
-            prop_assert_eq!(
-                &rolling_pipeline_verify(&mapped, &query, eps, &candidates, kernel).unwrap().0,
-                &expected, "mmap, kernel {:?}", kernel
-            );
-        }
-    }
-
-    /// Prefetched (double-buffered) verification is byte-identical to the
-    /// sequential path: same matches, same counters, on raw and
-    /// per-subsequence-normalised stores alike.
-    #[test]
-    fn prefetched_verification_matches_sequential(
-        values in series_strategy(),
-        raw_candidates in pvec(0usize..100_000, 1..60),
-        len_frac in 0.05_f64..0.25,
-        query_frac in 0.0_f64..1.0,
-        eps in 0.05_f64..1.5,
-        kernel_pick in 0usize..3,
-    ) {
-        let n = values.len();
-        let len = ((n as f64 * len_frac) as usize).clamp(4, n / 2);
-        let max_start = n - len;
-        let candidates: Vec<u32> = raw_candidates
-            .iter()
-            .map(|&c| (c % (max_start + 1)) as u32)
-            .collect();
-        let q_start = (query_frac * max_start as f64) as usize;
-        let query = values[q_start..q_start + len].to_vec();
-        let kernel = VerifyKernel::ALL[kernel_pick];
-        // `exact` bypasses the core clamp so the double-buffered reader
-        // thread actually runs on a single-core container.
-        let pool = Executor::exact(2);
-
-        let file = TempSeries::write(&values);
-        let store = DiskSeries::open(&file.path).unwrap();
-        let pipeline = Pipeline::new(&query, eps).with_kernel(kernel);
-        let options = plan_verify_options(&store, VerifyOptions::exhaustive(false))
-            .with_max_run_span(64);
-
-        let mut set = CandidateSet::new();
-        set.extend_from_slice(&candidates);
-        let mut sequential = Vec::new();
-        let seq_report = pipeline
-            .verify_into(
-                &mut set,
-                |start, buf| store.read_raw_range_into(start, buf),
-                options,
-                &mut sequential,
-            )
-            .unwrap();
-
-        let mut set = CandidateSet::new();
-        set.extend_from_slice(&candidates);
-        let mut prefetched = Vec::new();
-        let pre_report = pipeline
-            .verify_prefetched(
-                &mut set,
-                |start, buf| store.read_raw_range_into(start, buf),
-                &pool,
-                options,
-                &mut prefetched,
-            )
-            .unwrap();
-        prop_assert_eq!(&prefetched, &sequential);
-        prop_assert_eq!(pre_report.verified, seq_report.verified);
-        prop_assert_eq!(pre_report.matches, seq_report.matches);
-        prop_assert_eq!(pre_report.runs, seq_report.runs);
-
-        // And through the normalising wrapper (rolling + prefetch compose).
-        let norm = PerSubsequenceNormalized::new(store);
-        let norm_query = ts_core::normalize::znormalize(&query);
-        let norm_pipeline = Pipeline::new(&norm_query, eps).with_kernel(kernel);
-        let norm_options = plan_verify_options(&norm, VerifyOptions::exhaustive(false))
-            .with_max_run_span(64);
-        let mut set = CandidateSet::new();
-        set.extend_from_slice(&candidates);
-        let mut norm_sequential = Vec::new();
-        norm_pipeline
-            .verify_into(
-                &mut set,
-                |start, buf| norm.read_raw_range_into(start, buf),
-                norm_options,
-                &mut norm_sequential,
-            )
-            .unwrap();
-        let mut set = CandidateSet::new();
-        set.extend_from_slice(&candidates);
-        let mut norm_prefetched = Vec::new();
-        norm_pipeline
-            .verify_prefetched(
-                &mut set,
-                |start, buf| norm.read_raw_range_into(start, buf),
-                &pool,
-                norm_options,
-                &mut norm_prefetched,
-            )
-            .unwrap();
-        prop_assert_eq!(&norm_prefetched, &norm_sequential);
+        let disk = PerSubsequenceNormalized::new(DiskSeries::open(&file.path).unwrap());
+        prop_assert_eq!(
+            &rolling_pipeline_verify(&disk, &query, eps, &candidates).unwrap().0,
+            &expected, "disk"
+        );
+        let cached = PerSubsequenceNormalized::new(BlockCachedSeries::open(&file.path).unwrap());
+        prop_assert_eq!(
+            &rolling_pipeline_verify(&cached, &query, eps, &candidates).unwrap().0,
+            &expected, "disk-cached"
+        );
+        let mapped = PerSubsequenceNormalized::new(MmapSeries::open(&file.path).unwrap());
+        prop_assert_eq!(
+            &rolling_pipeline_verify(&mapped, &query, eps, &candidates).unwrap().0,
+            &expected, "mmap"
+        );
     }
 
     /// Every method on every store kind agrees with a brute-force scan of
