@@ -3,8 +3,9 @@
 //!
 //! * **reordering early abandoning** — verification cost with and without the
 //!   UCR-style reordering (§3.2);
-//! * **bulk loading** — TS-Index build time, incremental insertion vs
-//!   bottom-up packing;
+//! * **bulk loading** — the TS-Index built by the top-down loader vs the
+//!   paper's §5.2 tree grown window by window through `on_append`: build
+//!   time and query time;
 //! * **parallel query** — sequential Algorithm 1 vs the multi-threaded
 //!   traversal;
 //! * **batch scaling** — per-query sequential `Engine::search` vs
@@ -21,8 +22,8 @@ use std::hint::black_box;
 
 use ts_bench::{generate, HarnessOptions};
 use twin_search::{
-    Dataset, Engine, EngineConfig, InMemorySeries, Method, Normalization, QueryWorkload,
-    ShardedEngine, Sweepline, TsIndex, TsIndexConfig, TwinQuery,
+    Dataset, Engine, EngineConfig, InMemorySeries, MaintainableSearcher, Method, Normalization,
+    QueryWorkload, SeriesStore, ShardedEngine, Sweepline, TsIndex, TsIndexConfig, TwinQuery,
 };
 
 fn options() -> HarnessOptions {
@@ -64,6 +65,14 @@ fn bench_reordering(c: &mut Criterion) {
     group.finish();
 }
 
+/// The §5.2 tree: a one-window base grown by insertion over the rest.
+fn grown_by_on_append(store: &InMemorySeries, config: TsIndexConfig) -> TsIndex {
+    let first_window = store.read(0, config.subsequence_len).unwrap();
+    let mut index = TsIndex::build(&InMemorySeries::new(first_window).unwrap(), config).unwrap();
+    index.on_append(store).unwrap();
+    index
+}
+
 fn bench_bulk_load(c: &mut Criterion) {
     let store = prepared_store();
     let len = 100;
@@ -73,24 +82,24 @@ fn bench_bulk_load(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    group.bench_function("incremental_build", |b| {
-        b.iter(|| black_box(TsIndex::build(&store, config).unwrap().indexed_count()));
+    group.bench_function("grown_by_on_append", |b| {
+        b.iter(|| black_box(grown_by_on_append(&store, config).indexed_count()));
     });
-    group.bench_function("bulk_build", |b| {
-        b.iter(|| black_box(TsIndex::build_bulk(&store, config).unwrap().indexed_count()));
+    group.bench_function("built", |b| {
+        b.iter(|| black_box(TsIndex::build(&store, config).unwrap().indexed_count()));
     });
     group.finish();
 
-    // Query-time effect of the different packing.
-    let incremental = TsIndex::build(&store, config).unwrap();
-    let bulk = TsIndex::build_bulk(&store, config).unwrap();
+    // Query-time effect of the different grouping.
+    let grown = grown_by_on_append(&store, config);
+    let built = TsIndex::build(&store, config).unwrap();
     let workload = QueryWorkload::sample(&store, len, 5, 12, Normalization::WholeSeries).unwrap();
     let eps = Dataset::Insect.default_epsilon_normalized();
     let mut group = c.benchmark_group("ablation_bulk_load_query");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    for (name, index) in [("incremental", &incremental), ("bulk", &bulk)] {
+    for (name, index) in [("grown_by_on_append", &grown), ("built", &built)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut total = 0usize;

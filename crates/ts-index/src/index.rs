@@ -1,5 +1,6 @@
-//! TS-Index construction: top-down insertion, node splitting, and structural
-//! accounting (§5.1–§5.2).
+//! The TS-Index structure, its maintenance by top-down insertion and node
+//! splitting (§5.1–§5.2), and structural accounting.  Building an index from
+//! a series is the bulk loader in `bulk.rs`.
 //!
 //! Every envelope of the tree lives in one flat arena owned by the index
 //! (`envelopes`): node `id`'s MBTS is the slot `id · stride ..
@@ -43,34 +44,6 @@ impl TsIndex {
             root: None,
             entries: 0,
         }
-    }
-
-    /// Builds the index over every `config.subsequence_len`-length
-    /// subsequence of `store` by sequential top-down insertion (§5.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the store has no subsequence of the configured
-    /// length and propagates storage failures.
-    pub fn build<S: SeriesStore>(store: &S, config: TsIndexConfig) -> Result<Self> {
-        let len = config.subsequence_len;
-        let count = store.subsequence_count(len);
-        if count == 0 {
-            return Err(StorageError::Core(ts_core::TsError::InvalidParameter(
-                format!(
-                    "series of length {} has no subsequences of length {len}",
-                    store.len()
-                ),
-            )));
-        }
-        let mut index = Self::empty(config);
-        let mut buf = Scratch::take(len);
-        for position in 0..count {
-            store.read_into(position, &mut buf)?;
-            index.insert(store, position as u32, &buf)?;
-        }
-        index.release_slack();
-        Ok(index)
     }
 
     /// The configuration the index was built with.
@@ -142,16 +115,9 @@ impl TsIndex {
         self.envelopes.shrink_to_fit();
     }
 
-    /// Inserts one subsequence (starting position plus its values).
-    ///
-    /// Exposed at crate level so tests can drive insertion directly; end
-    /// users go through [`TsIndex::build`].
-    pub(crate) fn insert<S: SeriesStore>(
-        &mut self,
-        store: &S,
-        position: u32,
-        values: &[f64],
-    ) -> Result<()> {
+    /// Inserts one subsequence (starting position plus its values), §5.2.
+    /// Reached only through `on_append`.
+    fn insert<S: SeriesStore>(&mut self, store: &S, position: u32, values: &[f64]) -> Result<()> {
         self.insert_with(store, position, values, Self::choose_child)
     }
 
@@ -345,10 +311,10 @@ impl TsIndex {
     /// `memory_bytes` counts what the index holds allocated, by capacity:
     /// `size_of::<TsIndex>() + nodes.capacity() · size_of::<Node>() +
     /// envelopes.capacity() · 8 + Σ children.capacity() · 8 +
-    /// Σ positions.capacity() · 4`.  After [`TsIndex::build`] /
-    /// [`TsIndex::build_bulk`] the first two capacities are exact
-    /// (`envelopes.capacity() == nodes · stride`); an index grown by
-    /// appends carries — and reports — its amortised growth slack.
+    /// Σ positions.capacity() · 4`.  After [`TsIndex::build`] the first two
+    /// capacities are exact (`envelopes.capacity() == nodes · stride`); an
+    /// index grown by appends carries — and reports — its amortised growth
+    /// slack.
     #[must_use]
     pub fn stats(&self) -> TsIndexStats {
         let mut leaves = 0usize;
@@ -433,6 +399,9 @@ impl TsIndex {
             if id != root && node.entry_count() > self.config.max_capacity {
                 return Some(format!("node {id} exceeds max capacity"));
             }
+            if id != root && node.entry_count() < self.config.min_capacity {
+                return Some(format!("node {id} is below min capacity"));
+            }
             match &node.kind {
                 NodeKind::Leaf { positions } => {
                     leaf_depths.push(depth);
@@ -474,10 +443,10 @@ impl TsIndex {
     }
 }
 
-// Streaming maintenance: the TS-Index is *defined* by sequential top-down
-// insertion (§5.2), so appending is the same machinery pointed at the fresh
-// windows — node MBTS envelopes expand on the way down and splits propagate
-// upward exactly as during the original build.
+// Streaming maintenance: the paper's sequential top-down insertion (§5.2)
+// pointed at the fresh windows — node MBTS envelopes expand on the way down
+// and splits propagate upward.  An empty index grown this way over a whole
+// series is the §5.2 tree itself.
 impl<S: SeriesStore> ts_core::MaintainableSearcher<S> for TsIndex {
     type Error = StorageError;
 
@@ -633,23 +602,41 @@ mod tests {
     #[test]
     fn on_append_preserves_invariants_and_indexes_every_window() {
         use ts_core::MaintainableSearcher;
-        use ts_storage::AppendableStore;
+        use ts_storage::PerSubsequenceNormalized;
 
-        let full = insect_like(GeneratorConfig::new(2_500, 31));
-        let len = 40;
-        let split = 1_500;
-        let mut store = InMemorySeries::new(full[..split].to_vec()).unwrap();
-        let mut idx = TsIndex::build(&store, config(len)).unwrap();
-        for chunk in full[split..].chunks(333) {
-            store.append(chunk).unwrap();
-            assert_eq!(idx.on_append(&store).unwrap(), chunk.len());
-            assert_eq!(idx.check_invariants(), None);
+        // A base built by the loader, then grown in uneven chunks.
+        fn check<S: SeriesStore>(values: &[f64], wrap: impl Fn(InMemorySeries) -> S, what: &str) {
+            let len = 40;
+            let prefix = |n: usize| wrap(InMemorySeries::new(values[..n].to_vec()).unwrap());
+            let mut cut = 1_500;
+            let mut idx = TsIndex::build(&prefix(cut), config(len)).unwrap();
+            assert!(idx.height() >= 3, "{what}");
+            for step in [1usize, 333, 64, 5, 400, 2, 97].iter().cycle() {
+                if cut == values.len() {
+                    break;
+                }
+                let next = (cut + step).min(values.len());
+                assert_eq!(idx.on_append(&prefix(next)).unwrap(), next - cut, "{what}");
+                assert_eq!(idx.check_invariants(), None, "{what}");
+                cut = next;
+            }
+            let store = prefix(cut);
+            assert_eq!(idx.indexed_count(), store.subsequence_count(len), "{what}");
+            assert_eq!(idx.on_append(&store).unwrap(), 0, "{what}");
         }
-        assert_eq!(idx.indexed_count(), store.subsequence_count(len));
-        assert_eq!(idx.on_append(&store).unwrap(), 0);
-        // The incrementally grown tree has the same entry set as a bulk one.
-        let bulk = TsIndex::build(&store, config(len)).unwrap();
-        assert_eq!(idx.indexed_count(), bulk.indexed_count());
+
+        let raw = insect_like(GeneratorConfig::new(2_500, 31));
+        let znorm = InMemorySeries::new_znormalized(&raw)
+            .unwrap()
+            .read(0, raw.len())
+            .unwrap();
+        check(&raw, |s| s, "raw");
+        check(&znorm, |s| s, "whole-series z-norm");
+        check(
+            &raw,
+            PerSubsequenceNormalized::new,
+            "per-subsequence z-norm",
+        );
     }
 
     #[test]
@@ -713,35 +700,30 @@ mod tests {
 
     #[test]
     fn memory_accounting_is_exact_after_a_build() {
-        let s = store(2_000);
-        for index in [
-            TsIndex::build(&s, config(50)).unwrap(),
-            TsIndex::build_bulk(&s, config(50)).unwrap(),
-        ] {
-            let stats = index.stats();
-            assert_eq!(index.stride(), 100);
-            // No growth slack: one slot per node, nothing more.
-            assert_eq!(index.envelopes.len(), stats.nodes * index.stride());
-            assert_eq!(index.envelopes.capacity(), stats.nodes * index.stride());
-            assert_eq!(index.nodes.capacity(), stats.nodes);
-            // The documented formula, computed independently.
-            let payload: usize = index
-                .nodes
-                .iter()
-                .map(|node| match &node.kind {
-                    NodeKind::Internal { children } => children.capacity() * 8,
-                    NodeKind::Leaf { positions } => positions.capacity() * 4,
-                })
-                .sum();
-            assert_eq!(
-                stats.memory_bytes,
-                std::mem::size_of::<TsIndex>()
-                    + stats.nodes * std::mem::size_of::<Node>()
-                    + stats.nodes * index.stride() * 8
-                    + payload
-            );
-            assert_eq!(index.memory_bytes(), stats.memory_bytes);
-        }
+        let index = TsIndex::build(&store(2_000), config(50)).unwrap();
+        let stats = index.stats();
+        assert_eq!(index.stride(), 100);
+        // No growth slack: one slot per node, nothing more.
+        assert_eq!(index.envelopes.len(), stats.nodes * index.stride());
+        assert_eq!(index.envelopes.capacity(), stats.nodes * index.stride());
+        assert_eq!(index.nodes.capacity(), stats.nodes);
+        // The documented formula, computed independently.
+        let payload: usize = index
+            .nodes
+            .iter()
+            .map(|node| match &node.kind {
+                NodeKind::Internal { children } => children.capacity() * 8,
+                NodeKind::Leaf { positions } => positions.capacity() * 4,
+            })
+            .sum();
+        assert_eq!(
+            stats.memory_bytes,
+            std::mem::size_of::<TsIndex>()
+                + stats.nodes * std::mem::size_of::<Node>()
+                + stats.nodes * index.stride() * 8
+                + payload
+        );
+        assert_eq!(index.memory_bytes(), stats.memory_bytes);
         // A node is links only: the two envelope vectors are gone.
         assert_eq!(std::mem::size_of::<Node>(), 48);
     }
@@ -789,9 +771,9 @@ mod tests {
         assert_eq!(tree.check_invariants(), None, "{what}");
     }
 
-    /// Builds the tree over `values` three ways — `build`, grown through
-    /// `on_append` in uneven chunks, and by the reference descent — and
-    /// asserts the three are the same tree, node for node and bit for bit.
+    /// Grows the §5.2 tree over `values` twice — through `on_append` in
+    /// uneven chunks from a one-window base, and by the reference descent —
+    /// and asserts the two are the same tree, node for node and bit for bit.
     fn assert_bounded_descent_builds_the_reference_tree<S: SeriesStore>(
         values: &[f64],
         wrap: impl Fn(InMemorySeries) -> S,
@@ -814,10 +796,7 @@ mod tests {
         }
         assert!(reference.height() >= 3, "{what}: internal nodes must split");
 
-        let built = TsIndex::build(&full, config).unwrap();
-        assert_identical(&built, &reference, &format!("{what}, built"));
-
-        let mut cut = len + 7;
+        let mut cut = len;
         let mut grown = TsIndex::build(&prefix(cut), config).unwrap();
         for step in [1usize, 333, 64, 5, 1_000, 2, 97].iter().cycle() {
             if cut == values.len() {
@@ -867,10 +846,30 @@ mod tests {
     }
 
     #[test]
+    fn two_builds_of_one_input_are_identical() {
+        use ts_data::generators::eeg_like;
+        use ts_storage::PerSubsequenceNormalized;
+
+        let raw = eeg_like(GeneratorConfig::new(3_000, 8));
+        let plain = InMemorySeries::new_znormalized(&raw).unwrap();
+        assert_identical(
+            &TsIndex::build(&plain, config(50)).unwrap(),
+            &TsIndex::build(&plain, config(50)).unwrap(),
+            "whole-series z-norm",
+        );
+        let per_window = PerSubsequenceNormalized::new(InMemorySeries::new(raw).unwrap());
+        assert_identical(
+            &TsIndex::build(&per_window, config(50)).unwrap(),
+            &TsIndex::build(&per_window, config(50)).unwrap(),
+            "per-subsequence z-norm",
+        );
+    }
+
+    #[test]
     fn bulk_envelopes_are_the_scalar_union_of_their_members() {
         let s = store(1_500);
         let len = 50;
-        let index = TsIndex::build_bulk(&s, config(len)).unwrap();
+        let index = TsIndex::build(&s, config(len)).unwrap();
         for (id, node) in index.nodes.iter().enumerate() {
             let expected = match &node.kind {
                 NodeKind::Leaf { positions } => {

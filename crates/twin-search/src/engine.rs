@@ -351,8 +351,6 @@ pub struct EngineConfig {
     pub tsindex_max_capacity: usize,
     /// Number of KV-Index mean-value buckets.
     pub kv_buckets: usize,
-    /// Build the TS-Index bottom-up (bulk load) instead of by insertion.
-    pub tsindex_bulk_load: bool,
     /// Where the prepared series lives and how reads are served: in memory
     /// (the default), or in a temporary file behind the readahead,
     /// block-cached or memory-mapped store — the latter three reproduce the
@@ -389,7 +387,6 @@ impl EngineConfig {
             tsindex_min_capacity: defaults.tsindex_min_capacity,
             tsindex_max_capacity: defaults.tsindex_max_capacity,
             kv_buckets: 256,
-            tsindex_bulk_load: false,
             store: StoreKind::Memory,
             cache: BlockCacheConfig::default(),
             shards: 1,
@@ -430,13 +427,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_kv_buckets(mut self, buckets: usize) -> Self {
         self.kv_buckets = buckets;
-        self
-    }
-
-    /// Requests bottom-up bulk loading for the TS-Index.
-    #[must_use]
-    pub fn with_bulk_load(mut self, bulk: bool) -> Self {
-        self.tsindex_bulk_load = bulk;
         self
     }
 
@@ -556,12 +546,7 @@ impl Engine {
                         c.with_capacities(config.tsindex_min_capacity, config.tsindex_max_capacity)
                     })
                     .map_err(StorageError::Core)?;
-                let index = if config.tsindex_bulk_load {
-                    ts_index::TsIndex::build_bulk(&store, ts_config)?
-                } else {
-                    ts_index::TsIndex::build(&store, ts_config)?
-                };
-                Arc::new(index)
+                Arc::new(ts_index::TsIndex::build(&store, ts_config)?)
             }
         };
         let build_time = started.elapsed();
@@ -810,7 +795,6 @@ mod tests {
             .with_kv_buckets(64)
             .with_segments(6)
             .with_isax_leaf_capacity(100)
-            .with_bulk_load(false)
             .with_normalization(Normalization::WholeSeries);
         let engine = Engine::build(&values, config).unwrap();
         assert_eq!(engine.method(), Method::TsIndex);
@@ -823,23 +807,6 @@ mod tests {
         let sweep = Engine::build(&values, EngineConfig::new(Method::Sweepline, 60)).unwrap();
         assert_eq!(sweep.index_memory_bytes(), 0);
         assert!(sweep.ts_index().is_none());
-    }
-
-    #[test]
-    fn bulk_load_gives_same_answers() {
-        let values = series();
-        let len = 70;
-        let incremental = Engine::build(&values, EngineConfig::new(Method::TsIndex, len)).unwrap();
-        let bulk = Engine::build(
-            &values,
-            EngineConfig::new(Method::TsIndex, len).with_bulk_load(true),
-        )
-        .unwrap();
-        let query = incremental.store().read(321, len).unwrap();
-        assert_eq!(
-            incremental.search(&query, 0.4).unwrap(),
-            bulk.search(&query, 0.4).unwrap()
-        );
     }
 
     #[test]

@@ -226,22 +226,3 @@ fn index_metadata_is_reported() {
         }
     }
 }
-
-#[test]
-fn bulk_loaded_engine_matches_incremental_engine() {
-    let values = eeg_like(GeneratorConfig::new(2_500, 64));
-    let len = 100;
-    let a = Engine::build(&values, EngineConfig::new(Method::TsIndex, len)).unwrap();
-    let b = Engine::build(
-        &values,
-        EngineConfig::new(Method::TsIndex, len).with_bulk_load(true),
-    )
-    .unwrap();
-    let query = a.store().read(700, len).unwrap();
-    for eps in [0.1, 0.3, 0.6] {
-        assert_eq!(
-            a.search(&query, eps).unwrap(),
-            b.search(&query, eps).unwrap()
-        );
-    }
-}

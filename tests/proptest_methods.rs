@@ -6,8 +6,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use twin_search::{
-    are_twins, InMemorySeries, IsaxConfig, IsaxIndex, KvIndex, KvIndexConfig, SeriesStore,
-    Sweepline, TsIndex, TsIndexConfig,
+    are_twins, InMemorySeries, IsaxConfig, IsaxIndex, KvIndex, KvIndexConfig, MaintainableSearcher,
+    SeriesStore, Sweepline, TsIndex, TsIndexConfig,
 };
 
 /// A strategy producing a series of 200–500 smooth-ish values (random walk
@@ -72,6 +72,8 @@ proptest! {
         }
     }
 
+    /// The bulk-built tree, the §5.2 tree grown window by window, and a
+    /// brute-force scan return the same answer.
     #[test]
     fn tsindex_bulk_and_incremental_agree(
         values in series_strategy(),
@@ -81,13 +83,19 @@ proptest! {
         let store = InMemorySeries::new_znormalized(&values).unwrap();
         let query = store.read(values.len() / 2, len).unwrap();
         let config = TsIndexConfig::new(len).unwrap().with_capacities(2, 6).unwrap();
-        let incremental = TsIndex::build(&store, config).unwrap();
-        let bulk = TsIndex::build_bulk(&store, config).unwrap();
+        let bulk = TsIndex::build(&store, config).unwrap();
         prop_assert_eq!(bulk.check_invariants(), None);
-        prop_assert_eq!(
-            incremental.search(&store, &query, eps).unwrap(),
-            bulk.search(&store, &query, eps).unwrap()
-        );
+        let first_window = InMemorySeries::new(store.read(0, len).unwrap()).unwrap();
+        let mut incremental = TsIndex::build(&first_window, config).unwrap();
+        incremental.on_append(&store).unwrap();
+        prop_assert_eq!(incremental.check_invariants(), None);
+        prop_assert_eq!(incremental.indexed_count(), bulk.indexed_count());
+
+        let expected: Vec<usize> = (0..store.subsequence_count(len))
+            .filter(|&p| are_twins(&query, &store.read(p, len).unwrap(), eps))
+            .collect();
+        prop_assert_eq!(bulk.search(&store, &query, eps).unwrap(), expected.clone());
+        prop_assert_eq!(incremental.search(&store, &query, eps).unwrap(), expected);
     }
 
     #[test]
