@@ -106,7 +106,8 @@ COMMANDS:
   serve      Run the multi-tenant twin-search daemon
              --data DIR                 (tenant manifests + append logs)
              (--socket PATH | --listen ADDR)
-             [--threads T]              (executor width for query fan-out)
+             [--threads T]              (worker threads answering requests,
+                                         default one per core)
              [--queue N]                (admission queue depth, default 256;
                                          a full queue rejects with
                                          'overloaded' instead of blocking)

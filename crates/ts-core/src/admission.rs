@@ -10,11 +10,11 @@
 //!   handlers) call [`try_push`](AdmissionQueue::try_push), which **never
 //!   blocks**: when the queue is full the request is rejected with
 //!   [`AdmissionError::Overloaded`] so the connection can answer the client
-//!   immediately (backpressure).  Consumers (the dispatcher) call
-//!   [`pop`](AdmissionQueue::pop) / [`pop_batch`](AdmissionQueue::pop_batch)
-//!   which park on a condvar until work or a timeout arrives.
+//!   immediately (backpressure).  Consumers (the daemon's workers) call
+//!   [`pop`](AdmissionQueue::pop), which parks on a condvar until work, an
+//!   optional timeout or [`close`](AdmissionQueue::close) arrives.
 //! * [`Admitted`] — the envelope around each queued item recording when it
-//!   was admitted and an optional **deadline**.  The dispatcher checks
+//!   was admitted and an optional **deadline**.  The worker checks
 //!   [`expired`](Admitted::expired) after dequeue: a request that spent its
 //!   entire budget waiting is answered with a deadline error instead of
 //!   wasting executor time on an answer nobody is waiting for.
@@ -161,7 +161,7 @@ struct QueueState<T> {
 ///
 /// See the [module docs](self) for the protocol.  All methods are `&self`;
 /// share the queue behind an `Arc` between connection handlers and the
-/// dispatcher.
+/// workers.
 #[derive(Debug)]
 pub struct AdmissionQueue<T> {
     config: AdmissionConfig,
@@ -244,60 +244,49 @@ impl<T> AdmissionQueue<T> {
         Ok(())
     }
 
-    /// Dequeue one item, waiting up to `timeout` for one to arrive.
+    /// Dequeue one item, waiting up to `timeout` for one to arrive (`None`
+    /// = wait for as long as it takes: a long-lived worker's blocking pop).
     ///
     /// Returns `None` on timeout, or immediately once the queue is closed
     /// *and* drained — the consumer's signal to exit its loop.
-    pub fn pop(&self, timeout: Duration) -> Option<Admitted<T>> {
-        self.pop_batch(1, timeout).pop()
-    }
-
-    /// Dequeue up to `max` items, waiting up to `timeout` for the first.
-    ///
-    /// Once at least one item is available the call returns straight away
-    /// with everything queued (capped at `max`) — batching amortises
-    /// dispatch overhead without adding latency.  An empty vec means
-    /// timeout, or closed-and-drained.
-    pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<Admitted<T>> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let deadline = Instant::now() + timeout;
+    pub fn pop(&self, timeout: Option<Duration>) -> Option<Admitted<T>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max);
-                let batch: Vec<Admitted<T>> = state.items.drain(..take).collect();
+            if let Some(admitted) = state.items.pop_front() {
                 metric_depth().set(state.items.len() as i64);
-                for admitted in &batch {
-                    metric_wait_ms().observe(admitted.queued_for().as_secs_f64() * 1e3);
-                }
-                // Free slots opened up; overloaded producers poll, so no
-                // notification is needed, but waiting consumers may still
-                // have items to take.
+                metric_wait_ms().observe(admitted.queued_for().as_secs_f64() * 1e3);
+                // Items remain: pass the wake-up on, so a consumer whose
+                // notification raced with this pop is not left parked.
                 if !state.items.is_empty() {
                     self.available.notify_one();
                 }
-                return batch;
+                return Some(admitted);
             }
             if state.closed {
-                return Vec::new();
+                return None;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            let (guard, _timed_out) = self
-                .available
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
+            state = match deadline {
+                None => self
+                    .available
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.available
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
     /// Close the queue: reject all future pushes, wake all consumers.
-    /// Items already admitted remain drainable via [`pop`](Self::pop) /
-    /// [`pop_batch`](Self::pop_batch).
+    /// Items already admitted remain drainable via [`pop`](Self::pop).
     pub fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.closed = true;
@@ -344,8 +333,8 @@ mod tests {
         let q = AdmissionQueue::new(AdmissionConfig::new(4));
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        let a = q.pop(Duration::from_millis(10)).unwrap();
-        let b = q.pop(Duration::from_millis(10)).unwrap();
+        let a = q.pop(Some(Duration::from_millis(10))).unwrap();
+        let b = q.pop(Some(Duration::from_millis(10))).unwrap();
         assert_eq!((a.item, b.item), (1, 2));
         assert!(!a.expired());
         assert_eq!(q.depth(), 0);
@@ -361,7 +350,7 @@ mod tests {
         assert_eq!(err, AdmissionError::Overloaded { capacity: 2 });
         assert_eq!(q.total_rejected(), 1);
         // Draining frees a slot.
-        q.pop(Duration::from_millis(10)).unwrap();
+        q.pop(Some(Duration::from_millis(10))).unwrap();
         q.try_push(3).unwrap();
     }
 
@@ -377,21 +366,8 @@ mod tests {
     fn pop_times_out_when_empty() {
         let q: AdmissionQueue<u32> = AdmissionQueue::new(AdmissionConfig::default());
         let start = Instant::now();
-        assert!(q.pop(Duration::from_millis(20)).is_none());
+        assert!(q.pop(Some(Duration::from_millis(20))).is_none());
         assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn pop_batch_takes_everything_up_to_max() {
-        let q = AdmissionQueue::new(AdmissionConfig::new(8));
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        let batch = q.pop_batch(3, Duration::from_millis(10));
-        assert_eq!(batch.iter().map(|a| a.item).collect::<Vec<_>>(), [0, 1, 2]);
-        let rest = q.pop_batch(10, Duration::from_millis(10));
-        assert_eq!(rest.iter().map(|a| a.item).collect::<Vec<_>>(), [3, 4]);
-        assert!(q.pop_batch(0, Duration::from_millis(1)).is_empty());
     }
 
     #[test]
@@ -402,10 +378,10 @@ mod tests {
         assert_eq!(q.try_push(2), Err(AdmissionError::Closed));
         assert!(q.is_closed());
         // The admitted item is still served...
-        assert_eq!(q.pop(Duration::from_millis(10)).unwrap().item, 1);
+        assert_eq!(q.pop(Some(Duration::from_millis(10))).unwrap().item, 1);
         // ...then pops return immediately without waiting for the timeout.
         let start = Instant::now();
-        assert!(q.pop(Duration::from_secs(5)).is_none());
+        assert!(q.pop(Some(Duration::from_secs(5))).is_none());
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 
@@ -417,18 +393,18 @@ mod tests {
         // Explicit budget overrides the default.
         q.try_push_with_deadline(2, None).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let batch = q.pop_batch(4, Duration::from_millis(10));
-        assert_eq!(batch.len(), 2);
-        assert!(batch[0].expired(), "default deadline should have passed");
-        assert!(!batch[1].expired(), "explicit None budget never expires");
-        assert!(batch[0].queued_for() >= Duration::from_millis(20));
+        let first = q.pop(Some(Duration::from_millis(10))).unwrap();
+        let second = q.pop(Some(Duration::from_millis(10))).unwrap();
+        assert!(first.expired(), "default deadline should have passed");
+        assert!(!second.expired(), "explicit None budget never expires");
+        assert!(first.queued_for() >= Duration::from_millis(20));
     }
 
     #[test]
     fn deadline_expiring_while_queued_is_seen_at_dequeue() {
         // Regression: a request admitted with budget left must still read
         // as expired at dequeue if the budget ran out *while queued* — the
-        // dispatcher relies on `expired()` being evaluated against the
+        // worker relies on `expired()` being evaluated against the
         // absolute deadline, not against the state at admission.
         let q = AdmissionQueue::new(AdmissionConfig::new(4));
         q.try_push_with_deadline("race", Some(Duration::from_millis(10)))
@@ -440,7 +416,7 @@ mod tests {
         };
         assert!(peek_not_expired, "deadline must not be pre-expired");
         std::thread::sleep(Duration::from_millis(25));
-        let admitted = q.pop(Duration::from_millis(10)).unwrap();
+        let admitted = q.pop(Some(Duration::from_millis(10))).unwrap();
         assert!(
             admitted.expired(),
             "a deadline that lapsed while queued must read expired at dequeue"
@@ -468,7 +444,7 @@ mod tests {
         assert_eq!(q.total_admitted(), 3);
         assert_eq!(q.total_rejected(), 5);
         // Drain one, re-admit one: depth tracks exactly.
-        q.pop(Duration::from_millis(10)).unwrap();
+        q.pop(Some(Duration::from_millis(10))).unwrap();
         assert_eq!(q.depth(), 2);
         q.try_push(3).unwrap();
         assert_eq!(q.depth(), 3);
@@ -477,9 +453,11 @@ mod tests {
         assert_eq!(q.try_push(4), Err(AdmissionError::Closed));
         assert_eq!(q.depth(), 3);
         assert_eq!(q.total_rejected(), 6);
-        let batch = q.pop_batch(10, Duration::from_millis(10));
-        assert_eq!(batch.len(), 3);
-        assert_eq!(q.depth(), 0);
+        for left in (0..3).rev() {
+            q.pop(Some(Duration::from_millis(10))).unwrap();
+            assert_eq!(q.depth(), left);
+        }
+        assert!(q.pop(Some(Duration::from_millis(10))).is_none());
         assert_eq!(q.total_admitted(), 4);
     }
 
@@ -488,7 +466,7 @@ mod tests {
         let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(AdmissionConfig::new(4)));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop(Duration::from_secs(30)))
+            std::thread::spawn(move || q.pop(None))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -520,14 +498,10 @@ mod tests {
             .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        let batch = q.pop_batch(16, Duration::from_millis(50));
-                        if batch.is_empty() && q.is_closed() {
-                            return got;
-                        }
-                        got.extend(batch.into_iter().map(|a| a.item));
-                    }
+                    // Blocking pops: `None` only once closed and drained.
+                    std::iter::from_fn(|| q.pop(None))
+                        .map(|a| a.item)
+                        .collect::<Vec<u64>>()
                 })
             })
             .collect();

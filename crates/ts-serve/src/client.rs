@@ -6,6 +6,7 @@
 //! [`Response::Error`] into [`ClientError::Server`] so callers match on
 //! `ErrorCode` instead of parsing strings.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -15,6 +16,7 @@ use crate::protocol::{
     QuerySpec, Request, Response, WireTenantStats,
 };
 use crate::server::Endpoint;
+use crate::transport::Socket;
 use twin_search::Method;
 
 /// Errors raised by client calls.
@@ -85,46 +87,20 @@ impl ClientError {
 /// Result alias for client calls.
 pub type ClientResult<T> = std::result::Result<T, ClientError>;
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl std::io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl std::io::Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// A connected `twin serve` client.
 pub struct Client {
-    stream: Stream,
+    /// Buffered for reading (a small response is one `read`); requests are
+    /// written to the stream inside.
+    stream: BufReader<Socket>,
+    /// Frame-assembly buffer reused by every [`write_frame`].
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let transport = match &self.stream {
-            Stream::Unix(_) => "unix",
-            Stream::Tcp(_) => "tcp",
+        let transport = match self.stream.get_ref() {
+            Socket::Unix(_) => "unix",
+            Socket::Tcp(_) => "tcp",
         };
         f.debug_struct("Client")
             .field("transport", &transport)
@@ -139,20 +115,27 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect_unix<P: AsRef<Path>>(socket_path: P) -> ClientResult<Self> {
-        Ok(Client {
-            stream: Stream::Unix(UnixStream::connect(socket_path)?),
-        })
+        Ok(Self::over(Socket::Unix(UnixStream::connect(socket_path)?)))
     }
 
-    /// Connects over TCP.
+    /// Connects over TCP, with `TCP_NODELAY`: the protocol is strict
+    /// request/response, so a frame held back for coalescing only adds a
+    /// timer to the round trip.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect_tcp<A: ToSocketAddrs>(addr: A) -> ClientResult<Self> {
-        Ok(Client {
-            stream: Stream::Tcp(TcpStream::connect(addr)?),
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Self::over(Socket::Tcp(stream)))
+    }
+
+    fn over(stream: Socket) -> Self {
+        Client {
+            stream: BufReader::new(stream),
+            frame: Vec::new(),
+        }
     }
 
     /// Connects to a server's [`Endpoint`] (as returned by
@@ -177,7 +160,18 @@ impl Client {
     /// returned as a normal `Ok(Response::Error { .. })` here.
     pub fn roundtrip(&mut self, request: &Request) -> ClientResult<Response> {
         let frame_payload = encode_request(request)?;
-        write_frame(&mut self.stream, &frame_payload)?;
+        if let Err(send_error) = write_frame(self.stream.get_mut(), &mut self.frame, &frame_payload)
+        {
+            // A daemon at its connection cap answers before it reads and
+            // hangs up: a send that fails on the transport may have that
+            // typed rejection waiting to be read.
+            if let ProtocolError::Io(_) = send_error {
+                if let Ok(Some(frame)) = read_frame(&mut self.stream) {
+                    return Ok(decode_response(&frame)?);
+                }
+            }
+            return Err(send_error.into());
+        }
         match read_frame(&mut self.stream)? {
             Some(frame) => Ok(decode_response(&frame)?),
             None => Err(ClientError::Protocol(ProtocolError::Malformed(

@@ -18,7 +18,8 @@
 //! description, opcode table and error-code table.
 //!
 //! The encode/decode functions here are pure (`&[u8]` ⟷ types); the
-//! [`read_frame`] / [`write_frame`] helpers do the I/O.  Both the server
+//! [`read_frame`] / [`write_frame`] helpers do the I/O — one `write` and,
+//! through a buffered reader, one `read` per small frame.  Both the server
 //! and the [`crate::Client`] are built from exactly these functions, so a
 //! round-trip property test over arbitrary requests/responses pins the
 //! format.
@@ -1036,12 +1037,25 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtocolError> {
 // Framing I/O
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Size of a connection's frame-assembly buffer: a frame that fits is one
+/// `write`; of a larger one the prefix travels with the first bytes of the
+/// payload and the rest follows without a copy.
+const FRAME_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Writes one frame — length prefix and payload assembled in `buffer` (the
+/// connection's, reused from frame to frame) and handed to the transport in
+/// a single `write_all` — and flushes.  The prefix never travels alone: on
+/// a TCP socket a 4-byte segment followed by the rest is what Nagle's
+/// algorithm and the peer's delayed ACK turn into a timer.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::FrameTooLarge`] for an oversized payload; I/O errors.
-pub fn write_frame<W: Write>(writer: &mut W, frame_payload: &[u8]) -> Result<(), ProtocolError> {
+pub fn write_frame<W: Write>(
+    writer: &mut W,
+    buffer: &mut Vec<u8>,
+    frame_payload: &[u8],
+) -> Result<(), ProtocolError> {
     let len: u32 = frame_payload
         .len()
         .try_into()
@@ -1049,47 +1063,28 @@ pub fn write_frame<W: Write>(writer: &mut W, frame_payload: &[u8]) -> Result<(),
     if len > MAX_FRAME_BYTES {
         return Err(ProtocolError::FrameTooLarge { claimed: len });
     }
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(frame_payload)?;
+    let (head, rest) = frame_payload.split_at(frame_payload.len().min(FRAME_BUFFER_BYTES - 4));
+    buffer.clear();
+    buffer.extend_from_slice(&len.to_le_bytes());
+    buffer.extend_from_slice(head);
+    writer.write_all(buffer)?;
+    writer.write_all(rest)?; // no write at all for a frame that fitted
     writer.flush()?;
     Ok(())
 }
 
 /// Reads one frame's payload.  Returns `Ok(None)` on a clean EOF *before*
 /// the length prefix (the peer closed between requests); a tear mid-frame
-/// is an error.
+/// is an error.  Hand it a buffered reader: a small frame is then one
+/// `read` on the transport.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::FrameTooLarge`] for a hostile length prefix; I/O
 /// errors (including timeouts set on the underlying socket).
 pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, ProtocolError> {
-    read_frame_from(reader, [0u8; 4], 0)
-}
-
-/// Like [`read_frame`], but with the first byte of the length prefix
-/// already consumed by the caller.  Servers idle-wait by reading a single
-/// byte under a short timeout (so a poll timeout never desynchronises
-/// framing) and hand that byte here once a frame starts arriving.
-///
-/// # Errors
-///
-/// As [`read_frame`]; a clean EOF is impossible here (a prefix byte was
-/// already read), so it reports `connection closed mid length prefix`.
-pub fn read_frame_after<R: Read>(
-    reader: &mut R,
-    first: u8,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut len_buf = [0u8; 4];
-    len_buf[0] = first;
-    read_frame_from(reader, len_buf, 1)
-}
-
-fn read_frame_from<R: Read>(
-    reader: &mut R,
-    mut len_buf: [u8; 4],
-    mut filled: usize,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
+    let mut filled = 0;
     while filled < 4 {
         let n = reader.read(&mut len_buf[filled..])?;
         if n == 0 {
@@ -1350,9 +1345,9 @@ mod tests {
     #[test]
     fn framing_round_trips_and_detects_eof() {
         let frame_payload = encode_request(&Request::Stats { tenant: None }).unwrap();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame_payload).unwrap();
-        write_frame(&mut wire, &frame_payload).unwrap();
+        let (mut wire, mut buffer) = (Vec::new(), Vec::new());
+        write_frame(&mut wire, &mut buffer, &frame_payload).unwrap();
+        write_frame(&mut wire, &mut buffer, &frame_payload).unwrap();
         let mut reader = &wire[..];
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), frame_payload);
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), frame_payload);
@@ -1368,6 +1363,76 @@ mod tests {
             read_frame(&mut hostile),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
+    }
+
+    /// A transport that records the size of every `write` it is handed
+    /// and takes at most `accept` bytes of each.
+    struct CountingWriter {
+        writes: Vec<usize>,
+        accept: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            let taken = buf.len().min(self.accept);
+            self.wire.extend_from_slice(&buf[..taken]);
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_and_never_splits_the_prefix() {
+        let frame_payload = encode_request(&Request::Append {
+            tenant: "t".into(),
+            values: vec![0.25; 500],
+        })
+        .unwrap();
+        let framed = 4 + frame_payload.len();
+        let mut buffer = Vec::new();
+
+        // A transport that takes what it is given sees one write per frame,
+        // prefix and payload together — also on the reused buffer.
+        let mut whole = CountingWriter {
+            writes: Vec::new(),
+            accept: usize::MAX,
+            wire: Vec::new(),
+        };
+        write_frame(&mut whole, &mut buffer, &frame_payload).unwrap();
+        write_frame(&mut whole, &mut buffer, &frame_payload).unwrap();
+        assert_eq!(whole.writes, [framed, framed]);
+
+        // A transport that takes 1000 bytes at a time (a frame that does
+        // not fit) is still offered prefix and payload together, and the
+        // bytes on the wire are the same frame.
+        let mut partial = CountingWriter {
+            writes: Vec::new(),
+            accept: 1000,
+            wire: Vec::new(),
+        };
+        write_frame(&mut partial, &mut buffer, &frame_payload).unwrap();
+        assert_eq!(partial.writes[0], framed);
+        assert_eq!(partial.wire, whole.wire[..framed]);
+        let mut reader = &partial.wire[..];
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), frame_payload);
+
+        // A frame larger than the buffer: the prefix travels with the head
+        // of the payload, the rest follows from where it is, uncopied.
+        let large = vec![7u8; 1 << 20];
+        whole.writes.clear();
+        whole.wire.clear();
+        write_frame(&mut whole, &mut buffer, &large).unwrap();
+        assert_eq!(
+            whole.writes,
+            [FRAME_BUFFER_BYTES, 4 + large.len() - FRAME_BUFFER_BYTES]
+        );
+        let mut reader = &whole.wire[..];
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), large);
     }
 
     #[test]
